@@ -380,7 +380,7 @@ mod tests {
         assert_eq!(rules_fired("crates/core/src/job.rs", src), [Rule::RawSync]);
         let src = "fn f() { let l: RwLock<u8> = RwLock::default(); }";
         assert_eq!(
-            rules_fired("crates/fingerprint/src/basis.rs", src),
+            rules_fired("crates/fingerprint/src/index.rs", src),
             [Rule::RawSync]
         );
     }

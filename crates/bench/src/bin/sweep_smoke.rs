@@ -10,24 +10,24 @@
 //!
 //! The JSON reports sweep throughput (points/sec) and the executor's
 //! probe-vs-simulation wall-clock split (`probe_nanos` / `sim_nanos`) for
-//! the **boxed vector, match-indexed** configuration at the top level,
-//! plus three comparison sweeps of the same workload: the **typed
-//! columnar** tier (`columnar.*` fields — the columnar-vs-boxed probe
-//! timing split, with `columnar_kernels` / `column_fallbacks` recording
-//! how much of the walk stayed on typed kernels; the bundled workloads
-//! must report zero fallbacks), one with the fingerprint summary index
-//! disabled (`unindexed.*` fields — the indexed-vs-exhaustive match scan
-//! split, with `candidates_scanned` / `candidates_pruned` /
-//! `match_scan_nanos` recording the prune rate) and one through the
-//! **scalar** execution tier (`scalar.*` fields — the scalar-vs-vector
-//! probe timing split). A fifth, `concurrent{…}`, section runs the same
-//! sweep twice as concurrent Low/High-priority jobs on one shared
+//! the default configuration — the **typed columnar** tier with the match
+//! index on — at the top level, with `columnar_kernels` /
+//! `column_fallbacks` recording how much of the walk stayed on typed
+//! kernels (the bundled workloads must report zero fallbacks). Two
+//! comparison sweeps of the same workload follow: one with the
+//! fingerprint summary index disabled (`unindexed.*` fields — the
+//! indexed-vs-exhaustive match scan split, with `candidates_scanned` /
+//! `candidates_pruned` / `match_scan_nanos` recording the prune rate) and
+//! one through the **scalar** reference tier (`scalar.*` fields — the
+//! scalar-vs-columnar probe timing split). A `concurrent{…}` section runs
+//! the same sweep twice as concurrent Low/High-priority jobs on one shared
 //! scheduler pool (two scenario slots, two stores) and records the
 //! combined throughput plus each job's wall clock — the interleaving cost
 //! of the asynchronous job API — and the `scaling` ratio of that combined
-//! throughput over the blocking tier's, which this binary asserts is at
-//! least 1.0 (the sharded store's contention headroom). A sixth,
-//! `cold_start{…}`, section warms a service, persists its basis with
+//! throughput over the top-level blocking sweep's (same tier, same
+//! index), which this binary asserts is at least 1.0 (the sharded store's
+//! contention headroom). A `cold_start{…}` section warms a service,
+//! persists its basis with
 //! `save_basis`, and times the same sweep on a fresh service restored
 //! via `load_basis` — `points_simulated` must be zero, so the row is the
 //! pure serve-from-snapshot trajectory. The concurrent run keeps its flight
@@ -45,8 +45,8 @@
 //! must agree on the sweep answer, which this binary asserts (and CI
 //! therefore asserts per push). `worlds_per_walk` is the observed walk
 //! amortization: logical probe evaluations per block walk (the
-//! fingerprint length when a block tier is on — the scalar tier walks
-//! once *per seed* instead).
+//! fingerprint length on the columnar tier — the scalar tier walks once
+//! *per seed* instead).
 
 use std::time::Instant;
 
@@ -91,7 +91,7 @@ fn run_sweep_once(worlds: usize, threads: usize, tier: ExecTier, match_index: bo
 
 /// Run every sweep configuration [`REPEATS`] times — repeats *interleaved*
 /// across configurations (config₀, config₁, …, config₀, config₁, …) so a
-/// slow host phase lands on all tiers alike instead of skewing whichever
+/// slow host phase lands on every configuration alike instead of skewing whichever
 /// configuration happened to run during it — and return each
 /// configuration's median run by wall clock. The work counters are
 /// deterministic across repeats (asserted via the sweep answer below);
@@ -331,21 +331,18 @@ fn main() {
         worlds,
         threads,
         &[
-            (ExecTier::Boxed, true),
             (ExecTier::Columnar, true),
-            (ExecTier::Boxed, false),
+            (ExecTier::Columnar, false),
             (ExecTier::Scalar, true),
         ],
     );
-    let scalar = sweeps.pop().expect("four sweep configurations");
-    let unindexed = sweeps.pop().expect("four sweep configurations");
-    let columnar = sweeps.pop().expect("four sweep configurations");
-    let vector = sweeps.pop().expect("four sweep configurations");
+    let scalar = sweeps.pop().expect("three sweep configurations");
+    let unindexed = sweeps.pop().expect("three sweep configurations");
+    let columnar = sweeps.pop().expect("three sweep configurations");
     let concurrent = run_concurrent(worlds, threads);
     let cold = run_cold_start(worlds, threads);
 
-    let m = &vector.metrics;
-    let c = &columnar.metrics;
+    let m = &columnar.metrics;
     let u = &unindexed.metrics;
     let s = &scalar.metrics;
     let worlds_per_walk = if m.vector_walks > 0 {
@@ -363,7 +360,7 @@ fn main() {
     };
     // Two concurrent jobs on the shared pool versus one blocking sweep:
     // below 1.0, interleaving would cost more than it delivers.
-    let scaling = concurrent.points_per_sec / vector.points_per_sec.max(1e-9);
+    let scaling = concurrent.points_per_sec / columnar.points_per_sec.max(1e-9);
 
     let json = format!(
         "{{\n  \"workload\": \"figure2_coarse\",\n  \"worlds_per_point\": {worlds},\n  \
@@ -375,9 +372,7 @@ fn main() {
          \"prune_rate\": {prune_rate:.3},\n  \"match_scan_nanos\": {},\n  \
          \"probe_eval_nanos\": {},\n  \"probe_nanos\": {},\n  \"sim_nanos\": {},\n  \
          \"wall_nanos\": {},\n  \"points_per_sec\": {:.1},\n  \"best_point\": {},\n  \
-         \"columnar\": {{\n    \"probe_eval_nanos\": {},\n    \"probe_nanos\": {},\n    \
-         \"sim_nanos\": {},\n    \"wall_nanos\": {},\n    \"points_per_sec\": {:.1},\n    \
-         \"columnar_kernels\": {},\n    \"column_fallbacks\": {}\n  }},\n  \
+         \"columnar_kernels\": {},\n  \"column_fallbacks\": {},\n  \
          \"unindexed\": {{\n    \"candidates_scanned\": {},\n    \
          \"match_scan_nanos\": {},\n    \"probe_nanos\": {},\n    \
          \"wall_nanos\": {},\n    \"points_per_sec\": {:.1}\n  }},\n  \
@@ -395,7 +390,7 @@ fn main() {
          \"high\": {},\n      \"normal\": {},\n      \"low\": {}\n    }},\n    \
          \"store\": {{\"hits\": {}, \"misses\": {}, \"inflight_waits\": {}, \
          \"evictions\": {}, \"entries\": {}}}\n  }}\n}}\n",
-        vector.groups,
+        columnar.groups,
         m.points_total(),
         m.points_simulated,
         m.points_mapped,
@@ -410,16 +405,11 @@ fn main() {
         m.probe_eval_nanos,
         m.probe_nanos,
         m.sim_nanos,
-        vector.wall_nanos,
-        vector.points_per_sec,
-        vector.best,
-        c.probe_eval_nanos,
-        c.probe_nanos,
-        c.sim_nanos,
         columnar.wall_nanos,
         columnar.points_per_sec,
-        c.columnar_kernels,
-        c.column_fallbacks,
+        columnar.best,
+        m.columnar_kernels,
+        m.column_fallbacks,
         u.candidates_scanned,
         u.match_scan_nanos,
         u.probe_nanos,
@@ -465,14 +455,17 @@ fn main() {
         );
     }
     eprintln!(
-        "vector sweep: {} points in {:.1}ms ({:.1} points/sec); \
-         probe {:.1}ms vs sim {:.1}ms; {} walks ({worlds_per_walk:.0} worlds/walk)",
+        "columnar sweep: {} points in {:.1}ms ({:.1} points/sec); \
+         probe {:.1}ms vs sim {:.1}ms; {} walks ({worlds_per_walk:.0} worlds/walk); \
+         {} typed kernels, {} fallbacks",
         m.points_total(),
-        vector.wall_nanos as f64 / 1e6,
-        vector.points_per_sec,
+        columnar.wall_nanos as f64 / 1e6,
+        columnar.points_per_sec,
         m.probe_nanos as f64 / 1e6,
         m.sim_nanos as f64 / 1e6,
         m.vector_walks,
+        m.columnar_kernels,
+        m.column_fallbacks,
     );
     eprintln!(
         "match index: {} scanned / {} pruned ({:.0}% prune rate); \
@@ -487,7 +480,7 @@ fn main() {
     );
     eprintln!(
         "scalar sweep: probe {:.1}ms vs sim {:.1}ms ({:.1} points/sec); \
-         vector probe-eval speedup {:.2}x ({:.1}ms -> {:.1}ms)",
+         columnar probe-eval speedup {:.2}x ({:.1}ms -> {:.1}ms)",
         s.probe_nanos as f64 / 1e6,
         s.sim_nanos as f64 / 1e6,
         scalar.points_per_sec,
@@ -495,29 +488,16 @@ fn main() {
         s.probe_eval_nanos as f64 / 1e6,
         m.probe_eval_nanos as f64 / 1e6,
     );
-    eprintln!(
-        "columnar sweep: probe-eval {:.1}ms vs {:.1}ms boxed ({:.2}x); \
-         {} typed kernels, {} fallbacks",
-        c.probe_eval_nanos as f64 / 1e6,
-        m.probe_eval_nanos as f64 / 1e6,
-        m.probe_eval_nanos as f64 / (c.probe_eval_nanos as f64).max(1.0),
-        c.columnar_kernels,
-        c.column_fallbacks,
-    );
     assert_eq!(
-        vector.best, unindexed.best,
+        columnar.best, unindexed.best,
         "indexed and unindexed sweeps must agree on the sweep answer"
     );
     assert_eq!(
-        vector.best, scalar.best,
+        columnar.best, scalar.best,
         "tiers must agree on the sweep answer"
     );
     assert_eq!(
-        vector.best, columnar.best,
-        "the columnar tier must agree on the sweep answer"
-    );
-    assert_eq!(
-        c.column_fallbacks, 0,
+        m.column_fallbacks, 0,
         "the coarse Figure 2 sweep must stay fully typed — no boxed fallbacks"
     );
     assert_eq!(
@@ -526,7 +506,7 @@ fn main() {
     );
     eprintln!(
         "concurrent jobs: {} points across 2 sweeps in {:.1}ms ({:.1} points/sec, \
-         {scaling:.2}x the blocking tier); high-priority job returned after {:.1}ms \
+         {scaling:.2}x the blocking sweep); high-priority job returned after {:.1}ms \
          ({:.0}% of total wall)",
         concurrent.points_total,
         concurrent.wall_nanos as f64 / 1e6,
@@ -535,11 +515,11 @@ fn main() {
         100.0 * concurrent.hi_wall_nanos as f64 / concurrent.wall_nanos as f64,
     );
     assert_eq!(
-        concurrent.hi_best, vector.best,
+        concurrent.hi_best, columnar.best,
         "the high-priority concurrent sweep must reach the single-job answer"
     );
     assert_eq!(
-        concurrent.lo_best, vector.best,
+        concurrent.lo_best, columnar.best,
         "the low-priority concurrent sweep must reach the single-job answer"
     );
     assert!(
@@ -547,7 +527,7 @@ fn main() {
         "two concurrent jobs must not run slower than one blocking sweep \
          (scaling {scaling:.3}: {:.1} vs {:.1} points/sec)",
         concurrent.points_per_sec,
-        vector.points_per_sec,
+        columnar.points_per_sec,
     );
     eprintln!(
         "cold start: {} entries restored from a {}-byte snapshot; sweep served \
@@ -568,7 +548,7 @@ fn main() {
         "a sweep on the restored basis must simulate nothing"
     );
     assert_eq!(
-        cold.best, vector.best,
+        cold.best, columnar.best,
         "the restored sweep must reach the single-job answer"
     );
     let t = &concurrent.telemetry.trace;

@@ -7,7 +7,8 @@
 //!
 //! * `cargo run --release -p prophet-bench --bin experiments [-- eN]`
 //!   regenerates any or all experiment tables, and
-//! * the Criterion benches in `benches/` time the same workloads.
+//! * `cargo run --release -p prophet-bench --bin sweep_smoke` records the
+//!   offline-sweep perf trajectory in `BENCH_sweep.json`.
 //!
 //! Experiment index (see DESIGN.md for the full mapping):
 //!

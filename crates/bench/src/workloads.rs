@@ -1,5 +1,5 @@
 //! Shared workload definitions for the experiment harness and the
-//! Criterion benches.
+//! `sweep_smoke` bench.
 
 use fuzzy_prophet::prelude::*;
 use prophet_models::demo_registry;

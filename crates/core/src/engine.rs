@@ -35,14 +35,12 @@ use std::sync::Arc;
 use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
-    simulate_point, simulate_point_block, simulate_point_columnar, ParamPoint, SampleSet,
-    SharedBasisStore,
+    simulate_point, simulate_point_columnar, ParamPoint, SampleSet, SharedBasisStore,
 };
 use prophet_sql::ast::SelectItem;
 use prophet_sql::columnar::{evaluate_select_columns, to_f64_samples, ColumnarStats};
 use prophet_sql::error::SqlError;
 use prophet_sql::executor::{evaluate_select_with, EvalContext, WorldRng};
-use prophet_sql::vector::{column_to_f64, evaluate_select_block};
 use prophet_sql::Script;
 use prophet_vg::rng::{Rng64, SeedSequence};
 use prophet_vg::{SeedManager, VgRegistry};
@@ -54,19 +52,16 @@ use crate::sync::{OrderedMutex, ENGINE_METRICS};
 
 /// Which `prophet-sql` execution tier evaluates the scenario SELECT.
 ///
-/// All three tiers are bit-identical per world (the differential suite in
+/// Both tiers are bit-identical per world (the differential suite in
 /// `tests/vector_equivalence.rs` enforces it across every bundled
 /// scenario); they differ only in how the work is shaped. See
-/// `docs/VECTORIZATION.md` for the full three-tier story.
+/// `docs/VECTORIZATION.md` for the full two-tier story.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
     /// One AST walk per world (`evaluate_select_with`). The reference
-    /// semantics; also what per-world re-mapping uses.
+    /// oracle the differential suites hold the columnar tier to; also
+    /// what per-world re-mapping uses.
     Scalar,
-    /// One AST walk per world-block over boxed `Value` columns
-    /// (`evaluate_select_block`), VG functions invoked through the
-    /// catalog's batch path.
-    Boxed,
     /// One AST walk per world-block over typed `f64`/`i64`/`bool` column
     /// buffers (`evaluate_select_columns`): straight-line kernels over
     /// typed slices, with per-node fallback to boxed values for
@@ -88,13 +83,14 @@ pub struct EngineConfig {
     /// Master switch for fingerprint reuse (benches compare on/off).
     pub fingerprints_enabled: bool,
     /// Execution tier for fingerprint probes and miss-path Monte Carlo
-    /// estimation: per-world scalar walks, block walks over boxed
-    /// `Value` columns, or block walks over typed column buffers.
+    /// estimation: per-world scalar walks or block walks over typed
+    /// column buffers.
     ///
     /// Outputs are bit-identical across tiers (the differential suite in
-    /// `tests/vector_equivalence.rs` enforces it), so the fastest —
-    /// [`ExecTier::Columnar`] — is the default; the others exist for the
-    /// tier benchmark splits and for bisecting equivalence regressions.
+    /// `tests/vector_equivalence.rs` enforces it), so the faster —
+    /// [`ExecTier::Columnar`] — is the default. [`ExecTier::Scalar`]
+    /// exists as the reference oracle the differential tests compare
+    /// against.
     pub tier: ExecTier,
     /// Prune the correlation match scan through the basis store's
     /// fingerprint summary index: candidates whose summary bound proves
@@ -346,13 +342,11 @@ impl Engine {
     /// `fingerprint_time`, so the counter sums real probe work across
     /// parallel workers.
     ///
-    /// With a block tier ([`ExecTier::Boxed`] or the default
-    /// [`ExecTier::Columnar`]) the whole seed block is one walk of the
-    /// block executor — `vector_walks` counts it, while
+    /// With the default [`ExecTier::Columnar`] the whole seed block is one
+    /// walk of the block executor — `vector_walks` counts it, while
     /// `probe_evaluations` keeps counting the logical per-seed evaluations
-    /// so probe accounting stays comparable with the scalar tier. The
-    /// columnar tier additionally accounts its typed-kernel vs boxed
-    /// fallback node counts.
+    /// so probe accounting stays comparable with the scalar tier. The walk
+    /// also accounts its typed-kernel vs boxed fallback node counts.
     pub(crate) fn probe_fingerprints(
         &self,
         point: &ParamPoint,
@@ -361,47 +355,23 @@ impl Engine {
         let seeds = &self.probe_seeds;
         let params = point.to_value_map();
 
-        if self.config.tier != ExecTier::Scalar {
-            let (named_samples, stats) = match self.config.tier {
-                ExecTier::Columnar => {
-                    let (columns, stats) = evaluate_select_columns(
-                        &self.script.select,
-                        &self.registry,
-                        &params,
-                        self.seeds,
-                        seeds.seeds(),
-                    )?;
-                    let mut named = Vec::with_capacity(self.stochastic_cols.len());
-                    for (name, column) in columns {
-                        if self.stochastic_cols.contains(&name) {
-                            named.push((name, to_f64_samples(&column)?));
-                        }
-                    }
-                    (named, stats)
+        if self.config.tier == ExecTier::Columnar {
+            let (columns, stats) = evaluate_select_columns(
+                &self.script.select,
+                &self.registry,
+                &params,
+                self.seeds,
+                seeds.seeds(),
+            )?;
+            let mut out = HashMap::with_capacity(self.stochastic_cols.len());
+            for (name, column) in columns {
+                if self.stochastic_cols.contains(&name) {
+                    let values = to_f64_samples(&column)?;
+                    out.insert(
+                        name,
+                        Fingerprint::compute_block_with_seeds(seeds, |_| values),
+                    );
                 }
-                _ => {
-                    let columns = evaluate_select_block(
-                        &self.script.select,
-                        &self.registry,
-                        &params,
-                        self.seeds,
-                        seeds.seeds(),
-                    )?;
-                    let mut named = Vec::with_capacity(self.stochastic_cols.len());
-                    for (name, column) in columns {
-                        if self.stochastic_cols.contains(&name) {
-                            named.push((name, column_to_f64(&column)?));
-                        }
-                    }
-                    (named, ColumnarStats::default())
-                }
-            };
-            let mut out = HashMap::with_capacity(named_samples.len());
-            for (name, values) in named_samples {
-                out.insert(
-                    name,
-                    Fingerprint::compute_block_with_seeds(seeds, |_| values),
-                );
             }
             self.bump(|m| {
                 m.probe_evaluations += seeds.len() as u64;
@@ -521,10 +491,9 @@ impl Engine {
     /// The world→sample assignment is identical either way, so the choice
     /// never changes the produced samples or the work counters.
     ///
-    /// With a block tier ([`ExecTier::Boxed`] or the default
-    /// [`ExecTier::Columnar`]) each worker's world span is one block walk
-    /// of the block executor; per-world samples are bit-identical to the
-    /// scalar tier under either schedule.
+    /// With the default [`ExecTier::Columnar`] each worker's world span is
+    /// one block walk of the block executor; per-world samples are
+    /// bit-identical to the scalar tier under either schedule.
     pub(crate) fn simulate_full(
         &self,
         point: &ParamPoint,
@@ -589,7 +558,7 @@ impl Engine {
     }
 
     /// One tier-routed simulation of a world list (no metrics bump — the
-    /// callers aggregate). Non-columnar tiers report zero columnar stats.
+    /// callers aggregate). The scalar tier reports zero columnar stats.
     fn simulate_span_once(
         &self,
         point: &ParamPoint,
@@ -604,15 +573,6 @@ impl Engine {
                 worlds,
                 self.config.common_random_numbers,
             ),
-            ExecTier::Boxed => simulate_point_block(
-                &self.script.select,
-                &self.registry,
-                &self.seeds,
-                point,
-                worlds,
-                self.config.common_random_numbers,
-            )
-            .map(|set| (set, ColumnarStats::default())),
             ExecTier::Scalar => simulate_point(
                 &self.script.select,
                 &self.registry,
@@ -828,10 +788,6 @@ mod tests {
     #[test]
     fn vectorized_and_scalar_tiers_agree_bit_for_bit() {
         let columnar = engine(small_config());
-        let boxed = engine(EngineConfig {
-            tier: ExecTier::Boxed,
-            ..small_config()
-        });
         let scalar = engine(EngineConfig {
             tier: ExecTier::Scalar,
             ..small_config()
@@ -845,32 +801,24 @@ mod tests {
         ];
         for p in &points {
             let (sc, oc) = columnar.evaluate(p).unwrap();
-            let (sv, ov) = boxed.evaluate(p).unwrap();
             let (ss, os) = scalar.evaluate(p).unwrap();
             assert_eq!(oc, os, "columnar outcome for {p}");
-            assert_eq!(ov, os, "boxed outcome for {p}");
             for col in ["demand", "capacity", "overload"] {
                 assert_eq!(sc.samples(col), ss.samples(col), "column {col} at {p}");
-                assert_eq!(sv.samples(col), ss.samples(col), "column {col} at {p}");
             }
         }
-        // Same logical probe accounting on every tier…
+        // Same logical probe accounting on both tiers…
         let mc = columnar.metrics();
-        let mv = boxed.metrics();
         let ms = scalar.metrics();
         assert_eq!(mc.probe_evaluations, ms.probe_evaluations);
-        assert_eq!(mv.probe_evaluations, ms.probe_evaluations);
         assert_eq!(mc.worlds_simulated, ms.worlds_simulated);
-        assert_eq!(mv.worlds_simulated, ms.worlds_simulated);
-        // …but the block tiers did one walk per probed point.
+        // …but the columnar tier did one walk per probed point.
         assert_eq!(mc.vector_walks, 3, "three probed points, one walk each");
-        assert_eq!(mv.vector_walks, 3, "three probed points, one walk each");
         assert_eq!(ms.vector_walks, 0, "scalar tier never block-walks");
         // Only the columnar tier runs typed kernels; the figure-2 scenario
         // is pure numeric, so it never falls back to boxed values.
         assert!(mc.columnar_kernels > 0, "columnar tier counts kernels");
         assert_eq!(mc.column_fallbacks, 0, "figure-2 is fully typed");
-        assert_eq!(mv.columnar_kernels, 0);
         assert_eq!(ms.columnar_kernels, 0);
     }
 

@@ -56,7 +56,7 @@
 //! instead — the phases become priority-interleaved pool chunks, and this
 //! path remains as the differential baseline (`tests/jobs.rs` proves the
 //! two produce bit-identical results), exactly as the scalar executor
-//! backs the vectorized tier and the exhaustive scan backs the match
+//! backs the columnar tier and the exhaustive scan backs the match
 //! index.
 //!
 //! [`SharedBasisStore::try_claim`]: prophet_mc::SharedBasisStore::try_claim
@@ -99,14 +99,16 @@ impl Engine {
             self.config().fingerprints_enabled && !self.stochastic_columns().is_empty();
         let store = self.basis_store();
 
-        // ---- plan: exact-cache check + in-flight claim per unique point.
+        // ---- plan: exact-cache check + in-flight claim per unique point,
+        // atomic over the batch (see `SharedBasisStore::try_claim_batch`).
         let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
             (0..unique.len()).map(|_| None).collect();
         let mut guards: Vec<Option<InflightGuard>> = (0..unique.len()).map(|_| None).collect();
         let mut waits: Vec<Option<WaitHandle>> = (0..unique.len()).map(|_| None).collect();
         let mut owned: Vec<usize> = Vec::new();
-        for (i, point) in unique.iter().enumerate() {
-            match store.try_claim(point, worlds_per_point) {
+        let claims = store.try_claim_batch(&unique, worlds_per_point);
+        for (i, (point, claim)) in unique.iter().zip(claims).enumerate() {
+            match claim {
                 TryClaim::Ready { samples, .. } => {
                     self.bump(|m| m.points_cached += 1);
                     results[i] = Some((self.to_sample_set(point, &samples), EvalOutcome::Cached));

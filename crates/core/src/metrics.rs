@@ -51,9 +51,10 @@ pub struct EngineMetrics {
     pub worlds_simulated: u64,
     /// Scenario evaluations spent probing fingerprints. This counts
     /// *logical* per-seed evaluations regardless of execution tier: a
-    /// vectorized probe of fingerprint length `L` counts `L`, exactly as
+    /// columnar probe of fingerprint length `L` counts `L`, exactly as
     /// `L` scalar walks would — so the number stays comparable across
-    /// engine versions and the `vectorized` config knob.
+    /// engine versions and both values of
+    /// [`EngineConfig::tier`](crate::engine::EngineConfig::tier).
     pub probe_evaluations: u64,
     /// Vectorized probe walks: block evaluations of the scenario SELECT
     /// that produced a whole fingerprint in one AST walk. Zero when the

@@ -56,7 +56,12 @@
 //!   path at every chunk size and worker count;
 //! * work accounting is preserved — the same primitives bump the same
 //!   counters, and the match scan's scanned/pruned numbers are already
-//!   thread-independent (PR 4's invariant).
+//!   thread-independent (PR 4's invariant);
+//! * concurrent jobs over the same points never split a batch — the plan
+//!   phase claims the whole batch atomically
+//!   ([`SharedBasisStore::try_claim_batch`](prophet_mc::SharedBasisStore::try_claim_batch)),
+//!   so one job owns every unclaimed point of it and the others wait on
+//!   its publications instead of matching against them.
 //!
 //! Chunking therefore changes *when* independent point computations run,
 //! never *what* they compute or *in which order their results become
@@ -930,14 +935,16 @@ fn run_batch(
         engine.config().fingerprints_enabled && !engine.stochastic_columns().is_empty();
     let store = engine.basis_store();
 
-    // ---- plan: exact-cache check + in-flight claim per unique point.
+    // ---- plan: exact-cache check + in-flight claim per unique point,
+    // atomic over the batch (see `SharedBasisStore::try_claim_batch`).
     let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
         (0..unique.len()).map(|_| None).collect();
     let mut guards: Vec<Option<InflightGuard>> = (0..unique.len()).map(|_| None).collect();
     let mut waits: Vec<Option<WaitHandle>> = (0..unique.len()).map(|_| None).collect();
     let mut owned: Vec<usize> = Vec::new();
-    for (i, point) in unique.iter().enumerate() {
-        match store.try_claim(point, worlds_per_point) {
+    let claims = store.try_claim_batch(&unique, worlds_per_point);
+    for (i, (point, claim)) in unique.iter().zip(claims).enumerate() {
+        match claim {
             TryClaim::Ready { samples, .. } => {
                 engine.bump(|m| m.points_cached += 1);
                 core.points_done.fetch_add(1, Ordering::AcqRel);

@@ -67,11 +67,8 @@
 //! checksummed and versioned; corrupt input is rejected with a typed
 //! [`SnapshotError`] before any store state is touched.
 //!
-//! This is the engine-level sibling of
-//! [`prophet_fingerprint::BasisStore`]: that store is generic and keyed by
-//! fingerprint alone; this one is keyed by [`ParamPoint`] and stores the
-//! per-column fingerprints plus full sample sets the Figure-1 evaluation
-//! cycle needs.
+//! The store is keyed by [`ParamPoint`] and holds the per-column
+//! fingerprints plus full sample sets the Figure-1 evaluation cycle needs.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -1047,19 +1044,58 @@ impl SharedBasisStore {
     /// * [`TryClaim::Pending`] — another session owns it; block on the
     ///   [`WaitHandle`] to reuse its result.
     pub fn try_claim(&self, point: &ParamPoint, min_worlds: usize) -> TryClaim {
-        let shard = self.shard_of(point);
+        self.trace_claim(point);
+        let mut slots = self.inflight.slots.lock();
+        self.claim_locked(&mut slots, point, min_worlds)
+    }
+
+    /// [`SharedBasisStore::try_claim`] for a whole batch, as one atomic
+    /// step: every point is claimed under a single hold of the in-flight
+    /// table lock, so no other claim or publish interleaves with the batch.
+    ///
+    /// This is what keeps concurrent jobs over the same points
+    /// deterministic. Two jobs claiming one batch point by point could
+    /// split it between them, and one job's match scan would then see the
+    /// other's publications from the *same* batch — bases the blocking
+    /// reference never sees at that moment. Claimed atomically, a batch's
+    /// unclaimed points all go to one job, which matches them against
+    /// exactly the earlier batches' entries and publishes them in batch
+    /// order; the other job waits on them.
+    ///
+    /// `points` must be distinct: a repeated point would come back
+    /// [`TryClaim::Pending`] on the caller's own claim.
+    pub fn try_claim_batch(&self, points: &[ParamPoint], min_worlds: usize) -> Vec<TryClaim> {
+        for point in points {
+            self.trace_claim(point);
+        }
+        let mut slots = self.inflight.slots.lock();
+        points
+            .iter()
+            .map(|point| self.claim_locked(&mut slots, point, min_worlds))
+            .collect()
+    }
+
+    fn trace_claim(&self, point: &ParamPoint) {
         self.tracer.instant(
             TraceEventKind::StoreClaim {
-                shard: shard as u16,
+                shard: self.shard_of(point) as u16,
             },
             NO_JOB,
             NO_CHUNK,
         );
-        let mut slots = self.inflight.slots.lock();
+    }
+
+    /// One claim decision, under the caller's hold of the in-flight table.
+    fn claim_locked(
+        &self,
+        slots: &mut HashMap<ParamPoint, Arc<PendingSlot>>,
+        point: &ParamPoint,
+        min_worlds: usize,
+    ) -> TryClaim {
         // Exact check under the in-flight lock so a concurrent complete()
         // cannot publish between the store check and slot registration.
         {
-            let guard = self.shards[shard].read();
+            let guard = self.shards[self.shard_of(point)].read();
             if let Some(e) = guard.entries.get(point) {
                 if e.worlds >= min_worlds {
                     return TryClaim::Ready {
@@ -1683,6 +1719,24 @@ mod tests {
             matches!(s.try_claim(&p, 11), TryClaim::Owner(_)),
             "too few stored worlds re-opens the claim"
         );
+    }
+
+    #[test]
+    fn batch_claim_decides_each_point_like_try_claim() {
+        let s = SharedBasisStore::new(8);
+        let (stored, pending, cold) = (point("x", 1), point("x", 2), point("x", 3));
+        s.insert(stored.clone(), HashMap::new(), samples(1.0), 10, true);
+        let TryClaim::Owner(guard) = s.try_claim(&pending, 10) else {
+            panic!("expected owner");
+        };
+        let claims = s.try_claim_batch(&[stored, pending, cold], 10);
+        assert!(matches!(claims[0], TryClaim::Ready { worlds: 10, .. }));
+        assert!(matches!(claims[1], TryClaim::Pending(_)));
+        assert!(matches!(claims[2], TryClaim::Owner(_)));
+        assert_eq!(s.inflight_len(), 2);
+        drop(claims);
+        drop(guard);
+        assert_eq!(s.inflight_len(), 0, "dropped owners release their claims");
     }
 
     #[test]

@@ -1,31 +1,44 @@
-//! Typed columnar evaluation of the scenario SELECT: the third execution
-//! tier (see `docs/VECTORIZATION.md` for the full three-tier story).
+//! Typed columnar evaluation of the scenario SELECT: the block execution
+//! tier (see `docs/VECTORIZATION.md` for the two-tier story).
 //!
-//! The boxed vector tier ([`crate::vector`]) already walks the AST once
-//! per world-block, but it carries a `Vec<Value>` per node and branches on
-//! the value enum for every world. This tier specializes the hot numeric
-//! path to typed buffers — a [`Column`] is a `Vec<f64>` / `Vec<i64>` /
-//! `Vec<bool>` plus a [`NullMask`] — and lowers each expression node to a
-//! straight-line kernel from [`crate::column`] over those buffers. Mixed
-//! or string data drops to the [`Column::Boxed`] representation and
+//! The scalar tier in [`crate::executor`] evaluates the SELECT once per
+//! possible world, but fingerprint probing and Monte Carlo estimation
+//! always evaluate the *same* query, under the *same* parameter valuation,
+//! for a whole block of worlds (the canonical fingerprint seeds, or a
+//! point's estimation worlds). This tier walks the AST once for the entire
+//! block and carries a typed column per expression node — a [`Column`] is
+//! a `Vec<f64>` / `Vec<i64>` / `Vec<bool>` plus a [`NullMask`] — lowering
+//! each node to a straight-line kernel from [`crate::column`] over those
+//! buffers: a length-`L` fingerprint probe costs one walk instead of `L`.
+//! Mixed or string data drops to the [`Column::Boxed`] representation and
 //! per-value evaluation for that node ([`ColumnarStats::fallbacks`]
 //! counts how often), then re-sniffs back to a typed buffer so one odd
 //! node does not unbox the rest of the walk.
 //!
 //! ## Bit-identity contract
 //!
-//! Like the boxed tier, this tier is *defined* by bit-identity with the
-//! scalar walker: per world, same outputs, same VG substream derivation
-//! `(world, function, call index)`, same error classes and messages. The
-//! selection-vector discipline (CASE arms, `AND`/`OR` right-hand sides),
-//! per-slot call counters, and left-to-right alias scoping are carried
-//! over from [`crate::vector`] unchanged. Two consequences shape the
-//! kernels:
+//! This tier is *defined* by bit-identity with the scalar walker: for
+//! every world `w` of the block, lane `w` of every select item is what
+//! [`evaluate_select_with`] produces for `w` alone under
+//! [`WorldRng::PerCall`] — same outputs, same VG substream derivation
+//! `(world, function, call index)`, same error classes and messages.
+//! Three details make that hold:
+//!
+//! * **Per-world call counters.** The scalar tier's call index counts the
+//!   VG calls *that world actually executed*, so the block walk keeps one
+//!   counter per world slot and bumps only the worlds reaching a call
+//!   site.
+//! * **Selection vectors.** `CASE` arms and `AND`/`OR` right-hand sides
+//!   are evaluated only for the worlds whose control flow reaches them,
+//!   exactly as the per-world walk would.
+//! * **Left-to-right alias scoping.** Select items evaluate in declaration
+//!   order and later items see earlier aliases as whole columns.
+//!
+//! Two further consequences shape the kernels:
 //!
 //! * integer arithmetic must detect overflow, because the scalar tier
 //!   promotes exactly the overflowing lane to float — the whole node then
-//!   re-runs through per-value promotion ([`crate::vector`]'s shared
-//!   `apply_binop`);
+//!   re-runs through per-value promotion (`apply_binop`);
 //! * `Int`-vs-`Int` comparisons widen through `f64` (with its precision
 //!   loss above 2^53) because `Value::sql_cmp` does.
 //!
@@ -40,6 +53,9 @@
 //! an `invoke_batch_f64` lane fill a `Vec<f64>` directly (no per-world
 //! boxing at all); models without one fall back to boxed scalars, which
 //! counts as a column fallback.
+//!
+//! [`evaluate_select_with`]: crate::executor::evaluate_select_with
+//! [`WorldRng::PerCall`]: crate::executor::WorldRng
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -55,7 +71,6 @@ use crate::column::{
 };
 use crate::error::{SqlError, SqlResult};
 use crate::executor::scalar_builtin;
-use crate::vector::{apply_binop, column_to_f64};
 
 /// One block-length column in the typed tier.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,10 +277,10 @@ pub struct ColumnarStats {
 /// columnar tier, returning one `(alias, column)` pair per select item in
 /// declaration order plus the walk's kernel/fallback accounting.
 ///
-/// The contract is [`crate::vector::evaluate_select_block`]'s, verbatim:
 /// `worlds[i]` is the world id of slot `i`, every column has
 /// `worlds.len()` lanes, and lane `i` is bit-identical to a scalar walk of
-/// world `worlds[i]` under per-call substream derivation.
+/// world `worlds[i]` under per-call substream derivation
+/// ([`WorldRng::per_call`](crate::executor::WorldRng::per_call)).
 pub fn evaluate_select_columns(
     select: &SelectInto,
     registry: &VgRegistry,
@@ -301,8 +316,8 @@ pub fn evaluate_select_columns(
 /// not be conflated with NULL — the two behave differently under
 /// comparisons (`NULL = NULL` is NULL, `NaN = NaN` is false) and under
 /// `CASE` masking. Only here, where the sample encoding represents both
-/// as NaN (matching [`crate::vector::column_to_f64`] on the boxed tiers),
-/// do they collapse.
+/// as NaN (matching the scalar tier's per-value conversion), do they
+/// collapse.
 pub fn to_f64_samples(column: &Column) -> SqlResult<Vec<f64>> {
     match column {
         Column::F64 { data, nulls } => {
@@ -325,8 +340,44 @@ pub fn to_f64_samples(column: &Column) -> SqlResult<Vec<f64>> {
     }
 }
 
-/// Evaluation state for one columnar walk (the typed mirror of the boxed
-/// tier's context: same per-slot counters, same alias scoping).
+/// Convert boxed values to `f64` samples: `NULL` becomes `NaN`, everything
+/// else goes through [`Value::as_f64`]. The [`Column::Boxed`] lane of
+/// [`to_f64_samples`].
+fn column_to_f64(column: &[Value]) -> SqlResult<Vec<f64>> {
+    column
+        .iter()
+        .map(|v| match v {
+            Value::Null => Ok(f64::NAN),
+            v => v.as_f64().map_err(SqlError::from),
+        })
+        .collect()
+}
+
+/// Apply one non-logical binary operator to a single operand pair with the
+/// scalar tier's exact semantics (NULL absorption, int→float promotion,
+/// NULL-propagating comparisons): the per-value fallback path, so both
+/// tiers report identical values and identical error messages.
+fn apply_binop(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
+    Ok(match op {
+        BinOp::Add => l.add(r)?,
+        BinOp::Sub => l.sub(r)?,
+        BinOp::Mul => l.mul(r)?,
+        BinOp::Div => l.div(r)?,
+        BinOp::Rem => l.rem(r)?,
+        BinOp::Cmp(c) => {
+            if l.is_null() || r.is_null() {
+                Value::Null
+            } else {
+                Value::Bool(c.test(l.sql_cmp(r)?))
+            }
+        }
+        BinOp::And | BinOp::Or => unreachable!("logical operators use the three-valued path"),
+    })
+}
+
+/// Evaluation state for one columnar walk: per-slot VG call counters (the
+/// scalar tier's `WorldRng::PerCall` counter, one per world) and the
+/// columns of select items already evaluated.
 struct ColumnContext<'a> {
     registry: &'a VgRegistry,
     params: &'a HashMap<String, Value>,
@@ -636,7 +687,7 @@ fn truth_lanes(col: &Column) -> SqlResult<Vec<Option<bool>>> {
     })
 }
 
-/// Three-valued `AND`/`OR` with the boxed tier's exact short-circuit
+/// Three-valued `AND`/`OR` with the scalar tier's exact short-circuit
 /// discipline: the right-hand side is evaluated only for the slots the
 /// scalar tier would not have short-circuited, preserving per-slot VG
 /// call counters.
@@ -699,7 +750,7 @@ fn eval_logical_col(
     Ok(Column::Bool { data, nulls })
 }
 
-/// `CASE` with the boxed tier's active/matched/remaining selection
+/// `CASE` with the scalar tier's active/matched/remaining selection
 /// discipline; arm results are evaluated only for the slots their
 /// condition matched and scatter-merged into the output column.
 fn eval_case_col(
@@ -870,7 +921,7 @@ fn merge_pieces(
 }
 
 /// Dispatch one call site for a block: VG catalog first (catalog wins over
-/// builtins, as in both other tiers), then scalar builtins per world.
+/// builtins, as in the scalar tier), then scalar builtins per world.
 fn call_function_col(
     name: &str,
     args: &[Column],
@@ -937,15 +988,23 @@ fn call_function_col(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{evaluate_select_with, WorldRng};
     use crate::parser::parse_script;
     use crate::test_vg::test_registry as registry;
-    use crate::vector::evaluate_select_block;
 
-    /// Columnar outputs must equal the boxed block tier value for value
-    /// (the boxed tier is already proven bit-identical to the scalar
-    /// walker, so transitivity gives the scalar contract; the engine-level
-    /// differential suite re-proves it directly).
-    fn assert_columns_match_boxed(
+    /// Bit-level `Value` equality: floats compare by representation so a
+    /// NaN lane still counts as equal to itself.
+    fn bit_eq(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+
+    /// Every lane of every columnar output must equal the scalar oracle —
+    /// a per-world [`evaluate_select_with`] walk under
+    /// [`WorldRng::per_call`] — bit for bit.
+    fn assert_columns_match_scalar(
         src: &str,
         params: &[(&str, Value)],
         worlds: &[u64],
@@ -959,23 +1018,30 @@ mod tests {
         let seeds = SeedManager::new(11);
         let (cols, stats) =
             evaluate_select_columns(&script.select, &registry, &params, seeds, worlds).unwrap();
-        let boxed =
-            evaluate_select_block(&script.select, &registry, &params, seeds, worlds).unwrap();
-        assert_eq!(cols.len(), boxed.len());
-        for ((alias, column), (balias, bvalues)) in cols.iter().zip(&boxed) {
-            assert_eq!(alias, balias);
-            assert_eq!(
-                &column.to_values(),
-                bvalues,
-                "column `{alias}` diverged from the boxed tier"
-            );
+        for (slot, &world) in worlds.iter().enumerate() {
+            let row = evaluate_select_with(
+                &script.select,
+                &registry,
+                &params,
+                WorldRng::per_call(seeds, world),
+            )
+            .unwrap();
+            assert_eq!(cols.len(), row.len());
+            for ((alias, column), (scalar_alias, scalar_value)) in cols.iter().zip(&row) {
+                assert_eq!(alias, scalar_alias);
+                let lane = column.value_at(slot);
+                assert!(
+                    bit_eq(&lane, scalar_value),
+                    "world {world} column `{alias}`: columnar {lane:?} != scalar {scalar_value:?}"
+                );
+            }
         }
         stats
     }
 
     #[test]
     fn typed_path_covers_numeric_scenarios_without_fallbacks() {
-        let stats = assert_columns_match_boxed(
+        let stats = assert_columns_match_scalar(
             "DECLARE PARAMETER @base AS SET (100);\n\
              SELECT Jitter(@base) AS demand,\n\
                     Jitter(@base + 10) AS capacity,\n\
@@ -993,7 +1059,7 @@ mod tests {
 
     #[test]
     fn conditional_vg_calls_keep_per_world_counters_aligned() {
-        assert_columns_match_boxed(
+        assert_columns_match_scalar(
             "SELECT Jitter(0) AS first,\n\
              CASE WHEN first < 0.5 THEN Jitter(100) ELSE -1 END AS maybe,\n\
              Jitter(200) AS last\n\
@@ -1005,7 +1071,7 @@ mod tests {
 
     #[test]
     fn short_circuit_rhs_only_runs_for_unresolved_worlds() {
-        assert_columns_match_boxed(
+        assert_columns_match_scalar(
             "SELECT Jitter(0) AS first,\n\
              CASE WHEN first < 0.5 AND Jitter(0) < 0.5 THEN 1 ELSE 0 END AS both,\n\
              CASE WHEN first < 0.5 OR Jitter(0) < 0.5 THEN 1 ELSE 0 END AS either,\n\
@@ -1018,7 +1084,7 @@ mod tests {
 
     #[test]
     fn three_valued_logic_nulls_and_builtins_match() {
-        let stats = assert_columns_match_boxed(
+        let stats = assert_columns_match_scalar(
             "DECLARE PARAMETER @x AS SET (0);\n\
              SELECT NULL AND Jitter(0) > 0 AS null_and,\n\
                     NULL OR Jitter(1) > 0 AS null_or,\n\
@@ -1038,7 +1104,7 @@ mod tests {
 
     #[test]
     fn mixed_case_arms_fall_back_to_boxed_merge() {
-        let stats = assert_columns_match_boxed(
+        let stats = assert_columns_match_scalar(
             "SELECT Jitter(0) AS u,\n\
              CASE WHEN u < 0.5 THEN 1 ELSE 2.5 END AS mixed\n\
              INTO r;",
@@ -1054,7 +1120,7 @@ mod tests {
     #[test]
     fn integer_overflow_falls_back_to_lane_promotion() {
         let big = i64::MAX;
-        let stats = assert_columns_match_boxed(
+        let stats = assert_columns_match_scalar(
             &format!("SELECT {big} + 1 AS bumped, {big} * 2 AS dbl INTO r;"),
             &[],
             &[0, 1, 2],
@@ -1063,14 +1129,27 @@ mod tests {
     }
 
     #[test]
-    fn errors_match_the_boxed_tier() {
+    fn errors_match_the_scalar_tier() {
         let registry = registry();
         let seeds = SeedManager::new(0);
+        // Each misuse must fail with the scalar oracle's exact message.
         let run = |src: &str| {
             let script = parse_script(src).unwrap();
-            evaluate_select_columns(&script.select, &registry, &HashMap::new(), seeds, &[0, 1])
-                .unwrap_err()
-                .to_string()
+            let params = HashMap::new();
+            let columnar =
+                evaluate_select_columns(&script.select, &registry, &params, seeds, &[0, 1])
+                    .unwrap_err()
+                    .to_string();
+            let scalar = evaluate_select_with(
+                &script.select,
+                &registry,
+                &params,
+                WorldRng::per_call(seeds, 0),
+            )
+            .unwrap_err()
+            .to_string();
+            assert_eq!(columnar, scalar, "`{src}`");
+            columnar
         };
         assert!(
             run("DECLARE PARAMETER @missing AS SET (0);\nSELECT @missing AS v INTO r;")
@@ -1078,7 +1157,10 @@ mod tests {
         );
         assert!(run("SELECT nope + 1 AS v INTO r;").contains("unknown column or alias `nope`"));
         assert!(run("SELECT NoSuchFn(1) AS v INTO r;").contains("function `NoSuchFn`"));
-        assert!(run("SELECT TwoRows() AS v INTO r;").contains("exactly one cell"));
+        assert!(
+            run("SELECT TwoRows() AS v INTO r;").contains("exactly one cell"),
+            "scalar-position misuse must be reported per the scalar tier's contract"
+        );
     }
 
     #[test]
@@ -1096,6 +1178,24 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].1.is_empty());
         assert_eq!(registry.stats("Jitter").unwrap().invocations, 0);
+    }
+
+    #[test]
+    fn block_counts_logical_invocations() {
+        let script = parse_script("SELECT Jitter(0) AS a, Jitter(1) AS b INTO r;").unwrap();
+        let registry = registry();
+        let worlds: Vec<u64> = (0..16).collect();
+        evaluate_select_columns(
+            &script.select,
+            &registry,
+            &HashMap::new(),
+            SeedManager::new(0),
+            &worlds,
+        )
+        .unwrap();
+        let stats = registry.stats("Jitter").unwrap();
+        assert_eq!(stats.invocations, 32, "two call sites × 16 worlds");
+        assert_eq!(stats.batched_calls, 2, "one physical call per site");
     }
 
     #[test]
@@ -1144,7 +1244,7 @@ mod tests {
             Value::Float(f64::NAN),
             Value::Bool(true),
         ];
-        // Boxed reference conversion...
+        // Per-value reference conversion...
         let want: Vec<u64> = column_to_f64(&values)
             .unwrap()
             .iter()
@@ -1175,6 +1275,15 @@ mod tests {
             want.len()
         );
         assert!(to_f64_samples(&Column::Boxed(vec![Value::Str("x".into())])).is_err());
+    }
+
+    #[test]
+    fn column_to_f64_maps_null_to_nan() {
+        let xs = column_to_f64(&[Value::Int(2), Value::Null, Value::Float(0.5)]).unwrap();
+        assert_eq!(xs[0], 2.0);
+        assert!(xs[1].is_nan());
+        assert_eq!(xs[2], 0.5);
+        assert!(column_to_f64(&[Value::Str("x".into())]).is_err());
     }
 
     #[test]

@@ -266,14 +266,14 @@ fn call_function(name: &str, args: &[Value], ctx: &mut EvalContext<'_, '_>) -> S
         let table = ctx.invoke_vg(name, args)?;
         // In scalar position, a table-generating function must produce a
         // single cell — that cell is the world's sample. The extraction
-        // (and its misuse diagnostic) is shared with the vectorized tier.
+        // (and its misuse diagnostic) is shared with the columnar tier.
         return Ok(prophet_vg::function::extract_scalar_cell(name, &table)?);
     }
     scalar_builtin(name, args)
 }
 
-/// Scalar builtin functions (TSQL-ish). Shared with the vectorized
-/// evaluator in [`crate::vector`], which applies the same builtin per world.
+/// Scalar builtin functions (TSQL-ish). Shared with the columnar
+/// evaluator in [`crate::columnar`], which applies the same builtin per world.
 pub(crate) fn scalar_builtin(name: &str, args: &[Value]) -> SqlResult<Value> {
     let upper = name.to_ascii_uppercase();
 

@@ -45,10 +45,11 @@ pub fn extract_scalar_cell(name: &str, table: &Table) -> DataResult<Value> {
 /// One logical per-world invocation inside a batched VG call: the concrete
 /// argument values for that world plus the world's derived substream.
 ///
-/// The vectorized SQL executor hands the whole block to
-/// [`VgRegistry::invoke_batch`] so a model sees every world of a block at
-/// once and can amortize per-call setup, while each world still draws from
-/// its own generator (the possible-worlds seed discipline is untouched).
+/// When a model has no `f64` lane, [`VgRegistry::invoke_batch_columnar`]
+/// hands the whole block to [`VgFunction::invoke_batch_scalar`] so the
+/// model sees every world of a block at once and can amortize per-call
+/// setup, while each world still draws from its own generator (the
+/// possible-worlds seed discipline is untouched).
 pub struct VgCall<'a> {
     /// Argument values for this world.
     pub params: &'a [Value],
@@ -116,9 +117,10 @@ pub trait VgFunction: Send + Sync {
     /// world's sample. The default routes through
     /// [`VgFunction::invoke_batch`] and extracts (validating) that cell;
     /// single-cell models override to return the values directly and skip
-    /// relation construction entirely, which is where the vectorized
-    /// executor's per-world overhead lives. Overrides must produce, per
-    /// world, the bit-identical value the default extraction would.
+    /// relation construction entirely, which is where the columnar
+    /// tier's fallback lane spends its per-world overhead. Overrides must
+    /// produce, per world, the bit-identical value the default extraction
+    /// would.
     fn invoke_batch_scalar(&self, calls: &mut [VgCall<'_>]) -> DataResult<Vec<Value>> {
         let tables = self.invoke_batch(calls)?;
         tables
@@ -164,9 +166,10 @@ pub enum BatchSamples {
 pub struct InvocationStats {
     /// Total number of logical per-world invocations (a batched call of
     /// `n` worlds counts `n`, so this number is comparable across the
-    /// scalar and vectorized execution tiers).
+    /// scalar and columnar execution tiers).
     pub invocations: u64,
-    /// Number of physical `invoke_batch` calls that produced those logical
+    /// Number of physical batch calls
+    /// ([`VgRegistry::invoke_batch_columnar`]) that produced those logical
     /// invocations (0 when every call went through the scalar path).
     pub batched_calls: u64,
 }
@@ -229,33 +232,6 @@ impl VgRegistry {
         entry.function.invoke(params, rng)
     }
 
-    /// Resolve the entry for a batched call: validates arity per call and
-    /// records `calls.len()` logical invocations plus one physical batch
-    /// call. Shared by both batch entry points so the two paths' accounting
-    /// and validation can never drift apart.
-    fn claim_batch(
-        &self,
-        name: &str,
-        param_lens: impl ExactSizeIterator<Item = usize>,
-    ) -> DataResult<&Entry> {
-        let entry = self
-            .entries
-            .get(name)
-            .ok_or_else(|| DataError::UnknownColumn(format!("VG function `{name}`")))?;
-        let calls = param_lens.len() as u64;
-        for len in param_lens {
-            if len != entry.function.arity() {
-                return Err(DataError::SchemaMismatch(format!(
-                    "VG function `{name}` expects {} parameters, got {len}",
-                    entry.function.arity(),
-                )));
-            }
-        }
-        entry.invocations.fetch_add(calls, Ordering::Relaxed);
-        entry.batched_calls.fetch_add(1, Ordering::Relaxed);
-        Ok(entry)
-    }
-
     /// A batched implementation must hand back one output per world.
     fn expect_batch_len<T>(name: &str, outputs: Vec<T>, calls: usize) -> DataResult<Vec<T>> {
         if outputs.len() != calls {
@@ -267,44 +243,40 @@ impl VgRegistry {
         Ok(outputs)
     }
 
-    /// Invoke by name over a whole world-block, validating arity and
-    /// counting every *logical* per-world invocation — `invoke_batch` with
-    /// `n` calls bumps the counter by `n`, so invocation accounting stays
-    /// comparable whether the executor walked worlds one at a time or as a
-    /// block. `batched_calls` additionally counts the physical batch calls,
-    /// making the amortization itself observable.
-    pub fn invoke_batch(&self, name: &str, calls: &mut [VgCall<'_>]) -> DataResult<Vec<Table>> {
-        let entry = self.claim_batch(name, calls.iter().map(|c| c.params.len()))?;
-        let tables = entry.function.invoke_batch(calls)?;
-        Self::expect_batch_len(name, tables, calls.len())
-    }
-
-    /// Scalar-position variant of [`VgRegistry::invoke_batch`]: one cell
-    /// per world, same arity validation and logical-invocation accounting.
-    pub fn invoke_batch_scalar(
-        &self,
-        name: &str,
-        calls: &mut [VgCall<'_>],
-    ) -> DataResult<Vec<Value>> {
-        let entry = self.claim_batch(name, calls.iter().map(|c| c.params.len()))?;
-        let values = entry.function.invoke_batch_scalar(calls)?;
-        Self::expect_batch_len(name, values, calls.len())
-    }
-
-    /// Columnar variant of [`VgRegistry::invoke_batch_scalar`]: same arity
-    /// validation and logical-invocation accounting (claimed exactly once),
-    /// but asks the model for its raw `f64` lane first and only falls back
-    /// to boxed scalars when the model declines. The typed columnar
-    /// executor keys its `column_fallbacks` accounting off which variant
-    /// comes back. Fallback calls reborrow the concrete streams as `dyn`,
-    /// so a declining model consumes exactly the draws the scalar batch
-    /// path would have.
+    /// Invoke by name over a whole world-block in scalar position (one
+    /// sample per world), validating arity per call and counting every
+    /// *logical* per-world invocation — a batch of `n` calls bumps the
+    /// counter by `n`, so invocation accounting stays comparable whether
+    /// the executor walked worlds one at a time or as a block.
+    /// `batched_calls` additionally counts the physical batch calls, making
+    /// the amortization itself observable.
+    ///
+    /// Asks the model for its raw `f64` lane first and only falls back to
+    /// boxed scalars ([`VgFunction::invoke_batch_scalar`]) when the model
+    /// declines. The typed columnar executor keys its `column_fallbacks`
+    /// accounting off which variant comes back. Fallback calls reborrow the
+    /// concrete streams as `dyn`, so a declining model consumes exactly the
+    /// draws per-world `invoke` calls would have.
     pub fn invoke_batch_columnar(
         &self,
         name: &str,
         calls: &mut [VgCallF64<'_>],
     ) -> DataResult<BatchSamples> {
-        let entry = self.claim_batch(name, calls.iter().map(|c| c.params.len()))?;
+        let entry = self
+            .entries
+            .get(name)
+            .ok_or_else(|| DataError::UnknownColumn(format!("VG function `{name}`")))?;
+        let arity = entry.function.arity();
+        if let Some(call) = calls.iter().find(|c| c.params.len() != arity) {
+            return Err(DataError::SchemaMismatch(format!(
+                "VG function `{name}` expects {arity} parameters, got {}",
+                call.params.len()
+            )));
+        }
+        entry
+            .invocations
+            .fetch_add(calls.len() as u64, Ordering::Relaxed);
+        entry.batched_calls.fetch_add(1, Ordering::Relaxed);
         if let Some(samples) = entry.function.invoke_batch_f64(calls)? {
             let samples = Self::expect_batch_len(name, samples, calls.len())?;
             return Ok(BatchSamples::F64(samples));
@@ -475,28 +447,33 @@ mod tests {
     #[test]
     fn batch_invoke_counts_logical_invocations_and_matches_scalar() {
         let r = registry();
-        // Batch of 3 worlds, distinct rngs.
+        // Batch of 3 worlds, distinct rngs; UniformRows has no f64 lane, so
+        // the Values lane runs the trait's default per-world loop.
         let mut rngs: Vec<_> = (0..3u64)
             .map(crate::rng::Xoshiro256StarStar::seed_from_u64)
             .collect();
-        let params = vec![Value::Int(4)];
-        let mut calls: Vec<VgCall<'_>> = rngs
+        let params = vec![Value::Int(1)];
+        let mut calls: Vec<VgCallF64<'_>> = rngs
             .iter_mut()
-            .map(|rng| VgCall {
+            .map(|rng| VgCallF64 {
                 params: &params,
                 rng,
             })
             .collect();
-        let tables = r.invoke_batch("UniformRows", &mut calls).unwrap();
-        assert_eq!(tables.len(), 3);
+        let BatchSamples::Values(values) =
+            r.invoke_batch_columnar("UniformRows", &mut calls).unwrap()
+        else {
+            panic!("UniformRows has no f64 lane");
+        };
+        assert_eq!(values.len(), 3);
         let stats = r.stats("UniformRows").unwrap();
         assert_eq!(stats.invocations, 3, "one logical invocation per world");
         assert_eq!(stats.batched_calls, 1, "one physical batch call");
 
         // The default fallback must be bit-identical to scalar invocation.
         let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
-        let scalar = r.invoke("UniformRows", &[Value::Int(4)], &mut rng).unwrap();
-        assert_eq!(tables[1], scalar);
+        let scalar = r.invoke("UniformRows", &[Value::Int(1)], &mut rng).unwrap();
+        assert_eq!(values[1], scalar.cell(0, "u").unwrap());
     }
 
     #[test]
@@ -507,23 +484,26 @@ mod tests {
         let mut a = crate::rng::Xoshiro256StarStar::seed_from_u64(3);
         let mut b = crate::rng::Xoshiro256StarStar::seed_from_u64(3);
         let params = vec![Value::Int(1)];
-        let mut calls = vec![VgCall {
+        let mut calls = vec![VgCallF64 {
             params: &params,
             rng: &mut a,
         }];
-        let cells = r.invoke_batch_scalar("UniformRows", &mut calls).unwrap();
+        let cells = r.invoke_batch_columnar("UniformRows", &mut calls).unwrap();
         let table = r.invoke("UniformRows", &[Value::Int(1)], &mut b).unwrap();
-        assert_eq!(cells, vec![table.cell(0, "u").unwrap()]);
+        assert_eq!(
+            cells,
+            BatchSamples::Values(vec![table.cell(0, "u").unwrap()])
+        );
 
         // A multi-row result must be rejected with the scalar-misuse error.
         let mut c = crate::rng::Xoshiro256StarStar::seed_from_u64(3);
         let params = vec![Value::Int(2)];
-        let mut calls = vec![VgCall {
+        let mut calls = vec![VgCallF64 {
             params: &params,
             rng: &mut c,
         }];
         let err = r
-            .invoke_batch_scalar("UniformRows", &mut calls)
+            .invoke_batch_columnar("UniformRows", &mut calls)
             .unwrap_err();
         assert!(err.to_string().contains("exactly one cell"), "{err}");
     }
@@ -534,19 +514,33 @@ mod tests {
         let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
         let good = vec![Value::Int(1)];
         let bad: Vec<Value> = vec![];
-        let mut calls = vec![VgCall {
+        let mut calls = vec![VgCallF64 {
             params: &good,
             rng: &mut rng,
         }];
-        assert!(r.invoke_batch("UniformRows", &mut calls).is_ok());
-        let mut rng2 = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
-        let mut calls = vec![VgCall {
-            params: &bad,
-            rng: &mut rng2,
-        }];
-        let err = r.invoke_batch("UniformRows", &mut calls).unwrap_err();
+        assert!(r.invoke_batch_columnar("UniformRows", &mut calls).is_ok());
+        let (mut rng1, mut rng2) = (
+            crate::rng::Xoshiro256StarStar::seed_from_u64(1),
+            crate::rng::Xoshiro256StarStar::seed_from_u64(2),
+        );
+        // One malformed call anywhere in the batch rejects the whole batch
+        // before any world is invoked or counted.
+        let mut calls = vec![
+            VgCallF64 {
+                params: &good,
+                rng: &mut rng1,
+            },
+            VgCallF64 {
+                params: &bad,
+                rng: &mut rng2,
+            },
+        ];
+        let err = r
+            .invoke_batch_columnar("UniformRows", &mut calls)
+            .unwrap_err();
         assert!(err.to_string().contains("expects 1 parameters"));
-        assert!(r.invoke_batch("Missing", &mut []).is_err());
+        assert_eq!(r.stats("UniformRows").unwrap().invocations, 1);
+        assert!(r.invoke_batch_columnar("Missing", &mut []).is_err());
     }
 
     /// Single-cell uniform draw with a raw `f64` batch lane.
@@ -607,7 +601,8 @@ mod tests {
     #[test]
     fn columnar_batch_falls_back_to_boxed_scalars() {
         // UniformRows has no f64 lane: the columnar entry point must come
-        // back with boxed values matching the scalar batch path bit for bit.
+        // back with boxed values matching the trait's scalar batch default
+        // bit for bit, and claim the batch exactly once.
         let r = registry();
         let mut a = crate::rng::Xoshiro256StarStar::seed_from_u64(7);
         let mut b = crate::rng::Xoshiro256StarStar::seed_from_u64(7);
@@ -625,11 +620,15 @@ mod tests {
             params: &params,
             rng: &mut b,
         }];
-        let scalar = r.invoke_batch_scalar("UniformRows", &mut calls).unwrap();
-        assert_eq!(values, scalar);
+        let direct = r
+            .get("UniformRows")
+            .unwrap()
+            .invoke_batch_scalar(&mut calls)
+            .unwrap();
+        assert_eq!(values, direct);
         let stats = r.stats("UniformRows").unwrap();
-        assert_eq!(stats.invocations, 2, "claimed exactly once per entry point");
-        assert_eq!(stats.batched_calls, 2);
+        assert_eq!(stats.invocations, 1, "claimed exactly once");
+        assert_eq!(stats.batched_calls, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //!   | rule | forbids | except in |
 //!   |------|---------|-----------|
-//!   | `thread-spawn` | `thread::spawn` / `thread::scope` | `scheduler.rs`, `executor.rs` |
+//!   | `thread-spawn` | `thread::spawn` / `thread::scope` | `scheduler.rs` |
 //!   | `raw-sync` | raw `Mutex`/`RwLock`/`Condvar` construction | `sync.rs` (the instrumented module) |
 //!   | `unwrap` | `.unwrap()` / `.expect("…")` in `crates/core`, `crates/fingerprint`, `crates/mc` | messages containing `invariant` |
 //!   | `wall-clock` | `Instant::now()` / `SystemTime` | `metrics.rs`, `trace.rs`, `crates/bench` |
@@ -97,7 +97,7 @@ impl Rule {
     fn exempt_file(self, path: &str) -> bool {
         let base = path.rsplit('/').next().unwrap_or(path);
         match self {
-            Rule::ThreadSpawn => base == "scheduler.rs" || base == "executor.rs",
+            Rule::ThreadSpawn => base == "scheduler.rs",
             Rule::RawSync => base == "sync.rs",
             // Scoped *in*: the burndown applies to the engine, the
             // fingerprint layer, and (since the PR 9 store growth) the
@@ -160,8 +160,8 @@ fn scan_rules(path: &str, toks: &[Tok]) -> Vec<Violation> {
                     rule: Rule::ThreadSpawn,
                     line,
                     message: format!(
-                        "`thread::{name}` outside scheduler.rs/executor.rs — route work \
-                         through the scheduler's pool"
+                        "`thread::{name}` outside scheduler.rs — route work through \
+                         the scheduler's pool"
                     ),
                 });
             }
@@ -363,10 +363,20 @@ mod tests {
     }
 
     #[test]
-    fn thread_spawn_is_allowed_in_scheduler_and_executor() {
+    fn thread_spawn_is_allowed_only_in_the_scheduler() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         assert!(rules_fired("crates/core/src/scheduler.rs", src).is_empty());
-        assert!(rules_fired("crates/core/src/executor.rs", src).is_empty());
+        // The single-point executor has no pool of its own: batches run
+        // on the scheduler's.
+        assert_eq!(
+            rules_fired("crates/core/src/executor.rs", src),
+            [Rule::ThreadSpawn]
+        );
+        let src = "fn f() { std::thread::scope(|s| {}); }";
+        assert_eq!(
+            rules_fired("crates/core/src/executor.rs", src),
+            [Rule::ThreadSpawn]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Bench smoke: run the experiment harness's offline sweep on a small
 //! workload and emit `BENCH_sweep.json` so the perf trajectory of the
-//! batched evaluation executor is recorded per commit.
+//! scheduler's batch pipeline is recorded per commit.
 //!
 //! ```sh
 //! cargo run --release -p prophet-bench --bin sweep_smoke
@@ -8,7 +8,7 @@
 //! cargo run --release -p prophet-bench --bin sweep_smoke -- --trace-out trace.json  # chrome://tracing
 //! ```
 //!
-//! The JSON reports sweep throughput (points/sec) and the executor's
+//! The JSON reports sweep throughput (points/sec) and the pipeline's
 //! probe-vs-simulation wall-clock split (`probe_nanos` / `sim_nanos`) for
 //! the default configuration — the **typed columnar** tier with the match
 //! index on — at the top level, with `columnar_kernels` /
@@ -24,7 +24,7 @@
 //! scheduler pool (two scenario slots, two stores) and records the
 //! combined throughput plus each job's wall clock — the interleaving cost
 //! of the asynchronous job API — and the `scaling` ratio of that combined
-//! throughput over the top-level blocking sweep's (same tier, same
+//! throughput over the top-level single-job sweep's (same tier, same
 //! index), which this binary asserts is at least 1.0 (the sharded store's
 //! contention headroom). A `cold_start{…}` section warms a service,
 //! persists its basis with
@@ -37,9 +37,10 @@
 //! hit/miss/eviction/entry counters summed over both slots' sharded
 //! stores, and `--trace-out PATH`
 //! additionally dumps that run's event ring as a `chrome://tracing` /
-//! Perfetto-loadable JSON file. The single-job sweeps run on the
-//! blocking tier (no tracer), so their recorded throughput is untouched
-//! by tracing. Every sweep configuration is run three
+//! Perfetto-loadable JSON file. Every sweep, single-job or concurrent,
+//! runs as a job on a `Prophet` service pool with the default ring
+//! recorder armed, so recording cost sits inside both sides of the
+//! `scaling` ratio. Every sweep configuration is run three
 //! times and the median run (by wall clock) is reported, so single-shot
 //! scheduler noise does not land in the recorded trajectory. All sweeps
 //! must agree on the sweep answer, which this binary asserts (and CI
@@ -358,7 +359,7 @@ fn main() {
             0.0
         }
     };
-    // Two concurrent jobs on the shared pool versus one blocking sweep:
+    // Two concurrent jobs on the shared pool versus one single-job sweep:
     // below 1.0, interleaving would cost more than it delivers.
     let scaling = concurrent.points_per_sec / columnar.points_per_sec.max(1e-9);
 
@@ -506,7 +507,7 @@ fn main() {
     );
     eprintln!(
         "concurrent jobs: {} points across 2 sweeps in {:.1}ms ({:.1} points/sec, \
-         {scaling:.2}x the blocking sweep); high-priority job returned after {:.1}ms \
+         {scaling:.2}x the single-job sweep); high-priority job returned after {:.1}ms \
          ({:.0}% of total wall)",
         concurrent.points_total,
         concurrent.wall_nanos as f64 / 1e6,
@@ -524,7 +525,7 @@ fn main() {
     );
     assert!(
         scaling >= 1.0,
-        "two concurrent jobs must not run slower than one blocking sweep \
+        "two concurrent jobs must not run slower than one single-job sweep \
          (scaling {scaling:.3}: {:.1} vs {:.1} points/sec)",
         concurrent.points_per_sec,
         columnar.points_per_sec,

@@ -1,8 +1,7 @@
 //! The Figure-1 evaluation cycle with fingerprint-accelerated reuse.
 //!
-//! [`Engine::evaluate`] and [`Engine::evaluate_batch`] are the entry points
-//! both modes use to obtain the outcome distribution of the scenario at
-//! parameter points. The paper's cycle:
+//! The engine holds what both modes need to obtain the outcome
+//! distribution of the scenario at parameter points. The paper's cycle:
 //!
 //! 1. exact-key cache lookup in the Storage Manager (a prior run of the
 //!    same point),
@@ -16,12 +15,13 @@
 //! 4. on a miss: full Monte Carlo simulation, then insert into the basis
 //!    store so later points can map from this one.
 //!
-//! The cycle itself is executed by the batched pipeline in
-//! [`executor`](crate::executor) — `evaluate` is a batch of one. This
-//! module keeps the engine's state (script, seeds, configuration, work
-//! counters) and the per-point primitives the pipeline stages compose:
-//! `Engine::probe_fingerprints`, `Engine::remap_samples` and
-//! `Engine::simulate_full` (crate-visible).
+//! The cycle itself runs in two places: batches of points go through the
+//! scheduler's batch pipeline ([`scheduler`](crate::scheduler)), and a
+//! single point goes through [`Engine::evaluate`]'s claim cycle
+//! ([`executor`](crate::executor)). This module keeps the engine's state
+//! (script, seeds, configuration, work counters) and the per-point
+//! primitives both compose: `Engine::probe_fingerprints`,
+//! `Engine::remap_samples` and `Engine::simulate_full` (crate-visible).
 //!
 //! The basis store is a [`SharedBasisStore`]: engines built through the
 //! [`Prophet`](crate::service::Prophet) service share one store per
@@ -312,16 +312,6 @@ impl Engine {
         self.basis.clear();
     }
 
-    /// Evaluate the scenario at one parameter point, returning the sample
-    /// set and how it was obtained. This is a batch of one through
-    /// [`Engine::evaluate_batch`].
-    pub fn evaluate(&self, point: &ParamPoint) -> ProphetResult<(SampleSet, EvalOutcome)> {
-        let mut results = self.evaluate_batch(std::slice::from_ref(point))?;
-        Ok(results
-            .pop()
-            .expect("invariant: a batch of one yields exactly one result"))
-    }
-
     /// Monte Carlo expectation of one column at a point (convenience).
     pub fn expect(&self, point: &ParamPoint, column: &str) -> ProphetResult<f64> {
         let (samples, _) = self.evaluate(point)?;
@@ -331,7 +321,8 @@ impl Engine {
     }
 
     // ---------------------------------------------- pipeline primitives
-    // (crate-visible: composed into batches by `crate::executor`)
+    // (crate-visible: composed by the batch pipeline in `crate::scheduler`
+    // and the single-point cycle in `crate::executor`)
 
     pub(crate) fn bump(&self, update: impl FnOnce(&mut EngineMetrics)) {
         update(&mut self.metrics.lock());
@@ -486,7 +477,7 @@ impl Engine {
     ///
     /// `world_parallel` selects how `config.threads` is spent: `true`
     /// splits this point's worlds across the pool (the lone-miss case);
-    /// `false` runs single-threaded because the executor is already
+    /// `false` runs single-threaded because the batch pipeline is already
     /// simulating sibling points on the pool (point-level parallelism).
     /// The world→sample assignment is identical either way, so the choice
     /// never changes the produced samples or the work counters.

@@ -1,66 +1,28 @@
-//! The batched evaluation executor: the paper's Figure-1 cycle, pipelined
-//! over a whole batch of parameter points.
+//! Single-point evaluation: the Figure-1 claim cycle for one point.
 //!
-//! The Figure-1 loop — Guide proposes an instance, the Storage Manager is
-//! probed, a fingerprint hit re-maps stored samples, a miss runs the Monte
-//! Carlo simulation whose results feed back into the store — was executed
-//! one point at a time by `Engine::evaluate`. Offline sweeps and online
-//! graph refreshes, however, always know dozens of points up front; this
-//! module makes the *batch* the unit of work and maps each Figure-1 stage
-//! onto a batch-wide phase:
+//! A *batch* of points — a sweep group, a graph refresh, a prefetch — runs
+//! through the scheduler's batch pipeline ([`crate::scheduler`]), which is
+//! the only code that plans, matches and publishes many points at once.
+//! [`Engine::evaluate`] is the one-point path beside it: claim the point
+//! in the shared store, then
 //!
-//! | Figure-1 stage           | batch phase                                 |
-//! |--------------------------|---------------------------------------------|
-//! | Guide emits instances    | callers submit `&[ParamPoint]` (deduplicated)|
-//! | Storage Manager lookup   | *plan*: per-point exact-cache check plus an  |
-//! |                          | in-flight claim ([`SharedBasisStore::try_claim`]) |
-//! | fingerprint probe        | *probe*: claimed points fingerprint in       |
-//! |                          | parallel across the worker pool              |
-//! | correlation search       | *match*: one summary-indexed                 |
-//! |                          | [`SharedBasisStore::find_correlated_batch`]  |
-//! |                          | scan — candidates whose fingerprint-summary  |
-//! |                          | bound cannot beat the best match are pruned  |
-//! |                          | (`EngineConfig::match_index`), the survivors |
-//! |                          | score in parallel waves                      |
-//! | re-map on a hit          | *remap*: mapped sample reconstruction,       |
-//! |                          | parallel across hits                         |
-//! | simulate on a miss       | *simulate*: misses partitioned across the    |
-//! |                          | scoped worker pool — point-level             |
-//! |                          | parallelism, not just world-level            |
-//! | results feed the store   | *publish*: completions insert basis entries  |
-//! |                          | and wake cross-session waiters               |
+//! * [`TryClaim::Ready`] — serve the stored samples (exact cache hit);
+//! * [`TryClaim::Pending`] — another session owns the simulation: block
+//!   on its [`WaitHandle`] and reuse what it publishes;
+//! * [`TryClaim::Owner`] — run the cycle here (`Engine::run_owner`):
+//!   probe, match against the store, remap a hit or simulate a miss, and
+//!   publish through the claim guard.
 //!
-//! Two properties the phases preserve:
+//! The loop (`Engine::resolve_claim`) is also the batch pipeline's wait
+//! phase: a batch point another session owns resolves through it.
 //!
-//! * **Work deduplication.** The plan phase claims each point through the
-//!   shared store's in-flight table, so N sessions evaluating the same cold
-//!   point perform exactly one simulation — the other N−1 block on the
-//!   owner's [`WaitHandle`] and reuse its published samples (counted as
-//!   `inflight_waits`). Within one batch, duplicate points collapse to a
-//!   single evaluation, and work counters count unique points.
-//! * **Determinism.** Simulation seeds depend only on `(root seed, world,
-//!   point)`, candidate scanning orders sources by insertion stamp, and
-//!   phase results are published in batch order — so the samples, the
-//!   `worlds_simulated` count, and the chosen mapping sources are all
-//!   independent of `threads`.
+//! The tests below pin the batch semantics every caller of the pipeline
+//! relies on — empty batches, duplicate collapse, input order, phase
+//! clocks — on a private pool.
 //!
-//! Phase wall-clock lands in `EngineMetrics::probe_nanos` (probe + match +
-//! remap) and `EngineMetrics::sim_nanos` (simulate), giving sweeps a true
-//! probe-vs-simulation split as the caller experiences it.
-//!
-//! This module is the *blocking reference tier*: its parallel phases fan
-//! out on per-call `std::thread::scope` pools and the call seizes the
-//! caller until the batch completes. Engines handed out by the
-//! [`Prophet`](crate::service::Prophet) service run the same pipeline
-//! through the service's long-lived [`scheduler`](crate::scheduler)
-//! instead — the phases become priority-interleaved pool chunks, and this
-//! path remains as the differential baseline (`tests/jobs.rs` proves the
-//! two produce bit-identical results), exactly as the scalar executor
-//! backs the columnar tier and the exhaustive scan backs the match
-//! index.
-//!
-//! [`SharedBasisStore::try_claim`]: prophet_mc::SharedBasisStore::try_claim
-//! [`SharedBasisStore::find_correlated_batch`]: prophet_mc::SharedBasisStore::find_correlated_batch
+//! [`TryClaim::Ready`]: prophet_mc::TryClaim::Ready
+//! [`TryClaim::Pending`]: prophet_mc::TryClaim::Pending
+//! [`TryClaim::Owner`]: prophet_mc::TryClaim::Owner
 //! [`WaitHandle`]: prophet_mc::WaitHandle
 
 use std::collections::HashMap;
@@ -74,201 +36,31 @@ use crate::error::ProphetResult;
 use crate::metrics::Stopwatch;
 
 impl Engine {
-    /// Evaluate the scenario at a batch of parameter points, returning one
-    /// `(samples, outcome)` per input point, in input order.
-    ///
-    /// Duplicate points are evaluated once and their result shared. Points
-    /// already being simulated by a concurrent session are not duplicated:
-    /// this call blocks on the in-flight owner and reuses its result
-    /// (outcome [`EvalOutcome::Cached`], counted in
-    /// `EngineMetrics::inflight_waits`).
-    pub fn evaluate_batch(
-        &self,
-        points: &[ParamPoint],
-    ) -> ProphetResult<Vec<(SampleSet, EvalOutcome)>> {
-        if points.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        // ---- dedupe: unique points in first-seen order.
-        let (unique, slot_of) = dedupe_points(points);
-
-        let worlds_per_point = self.config().worlds_per_point;
-        let threads = self.config().threads.max(1);
-        let use_fingerprints =
-            self.config().fingerprints_enabled && !self.stochastic_columns().is_empty();
-        let store = self.basis_store();
-
-        // ---- plan: exact-cache check + in-flight claim per unique point,
-        // atomic over the batch (see `SharedBasisStore::try_claim_batch`).
-        let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
-            (0..unique.len()).map(|_| None).collect();
-        let mut guards: Vec<Option<InflightGuard>> = (0..unique.len()).map(|_| None).collect();
-        let mut waits: Vec<Option<WaitHandle>> = (0..unique.len()).map(|_| None).collect();
-        let mut owned: Vec<usize> = Vec::new();
-        let claims = store.try_claim_batch(&unique, worlds_per_point);
-        for (i, (point, claim)) in unique.iter().zip(claims).enumerate() {
-            match claim {
-                TryClaim::Ready { samples, .. } => {
-                    self.bump(|m| m.points_cached += 1);
-                    results[i] = Some((self.to_sample_set(point, &samples), EvalOutcome::Cached));
-                }
-                TryClaim::Owner(guard) => {
-                    guards[i] = Some(guard);
-                    owned.push(i);
-                }
-                TryClaim::Pending(handle) => waits[i] = Some(handle),
-            }
-        }
-
-        // ---- probe + match + remap (the fingerprint phase).
-        let mut probes: Vec<Option<HashMap<String, Fingerprint>>> =
-            (0..unique.len()).map(|_| None).collect();
-        let mut to_simulate: Vec<usize> = Vec::new();
-        if use_fingerprints && !owned.is_empty() {
-            let phase = Stopwatch::start();
-            let owned_points: Vec<&ParamPoint> = owned.iter().map(|&i| &unique[i]).collect();
-            let probe_results =
-                parallel_map(&owned_points, threads, |p| self.probe_fingerprints(p));
-            let mut owned_probes: Vec<HashMap<String, Fingerprint>> =
-                Vec::with_capacity(owned.len());
-            for r in probe_results {
-                owned_probes.push(r?);
-            }
-            self.bump(|m| m.batch_probes += owned.len() as u64);
-
-            let match_start = Stopwatch::start();
-            let (hits, scan) = store.find_correlated_batch_scan(
-                &owned_probes,
-                self.stochastic_columns(),
-                &self.config().detector,
-                threads,
-                self.config().match_index,
-            );
-            // Probe evaluation and remapping self-time into
-            // `fingerprint_time`; the match scan is the remaining share of
-            // the phase's per-call work.
-            let match_elapsed = match_start.elapsed();
-            self.bump(|m| {
-                m.fingerprint_time += match_elapsed;
-                m.match_scan_nanos += match_elapsed.as_nanos() as u64;
-                m.candidates_scanned += scan.candidates_scanned;
-                m.candidates_pruned += scan.candidates_pruned;
-            });
-            for (pos, probe) in owned_probes.into_iter().enumerate() {
-                probes[owned[pos]] = Some(probe);
-            }
-
-            // Remap every hit in parallel, then publish in batch order.
-            let mut hit_items: Vec<(usize, BasisHit)> = Vec::new();
-            for (pos, hit) in hits.into_iter().enumerate() {
-                match hit {
-                    Some(hit) => hit_items.push((owned[pos], hit)),
-                    None => to_simulate.push(owned[pos]),
-                }
-            }
-            let remapped = parallel_map(&hit_items, threads, |(i, hit)| {
-                self.remap_samples(&unique[*i], &hit.samples, &hit.mappings, hit.worlds)
-            });
-            for ((i, hit), mapped) in hit_items.into_iter().zip(remapped) {
-                let mapped = mapped?;
-                let exact = hit.mappings.values().all(Mapping::is_exact);
-                let guard = guards[i]
-                    .take()
-                    .expect("invariant: every hit point holds its claim guard");
-                guard.complete(
-                    probes[i]
-                        .take()
-                        .expect("invariant: every hit point was probed"),
-                    Arc::new(mapped.clone()),
-                    hit.worlds,
-                    false,
-                );
-                self.bump(|m| m.points_mapped += 1);
-                results[i] = Some((
-                    self.to_sample_set(&unique[i], &mapped),
-                    EvalOutcome::Mapped {
-                        from: hit.source,
-                        exact,
-                    },
-                ));
-            }
-            self.bump(|m| m.probe_nanos += phase.elapsed_nanos());
-        } else {
-            to_simulate = owned;
-        }
-
-        // ---- simulate misses across the worker pool. With at least
-        // `threads` misses, point-level parallelism saturates the pool with
-        // single-threaded simulations; with fewer misses than threads,
-        // each point instead world-parallelizes sequentially so no worker
-        // sits idle. The world→sample assignment is seed-based, so every
-        // sample and counter is identical under either schedule.
-        if !to_simulate.is_empty() {
-            let phase = Stopwatch::start();
-            let miss_points: Vec<&ParamPoint> = to_simulate.iter().map(|&i| &unique[i]).collect();
-            let simulated: Vec<ProphetResult<_>> = if miss_points.len() < threads {
-                miss_points
-                    .iter()
-                    .map(|p| self.simulate_full(p, true))
-                    .collect()
-            } else {
-                parallel_map(&miss_points, threads, |p| self.simulate_full(p, false))
-            };
-            for (&i, sim) in to_simulate.iter().zip(simulated) {
-                let samples = sim?;
-                let guard = guards[i]
-                    .take()
-                    .expect("invariant: every missed point holds its claim guard");
-                guard.complete(
-                    probes[i].take().unwrap_or_default(),
-                    Arc::new(samples.clone()),
-                    worlds_per_point,
-                    true,
-                );
-                self.bump(|m| m.points_simulated += 1);
-                results[i] = Some((
-                    self.to_sample_set(&unique[i], &samples),
-                    EvalOutcome::Simulated,
-                ));
-            }
-            self.bump(|m| m.sim_nanos += phase.elapsed_nanos());
-        }
-
-        // ---- resolve cross-session waits last, so our own publications
-        // are already out (two sessions waiting on each other's points
-        // therefore cannot deadlock).
-        for i in 0..unique.len() {
-            if let Some(handle) = waits[i].take() {
-                results[i] = Some(self.resolve_wait(&unique[i], handle)?);
-            }
-        }
-
-        Ok(slot_of
-            .into_iter()
-            .map(|i| {
-                results[i]
-                    .clone()
-                    .expect("invariant: every unique point resolves to a result")
-            })
-            .collect())
+    /// Evaluate the scenario at one parameter point, returning the sample
+    /// set and how it was obtained. A point already being simulated by a
+    /// concurrent session is not duplicated: this call blocks on the
+    /// in-flight owner and reuses its result (outcome
+    /// [`EvalOutcome::Cached`], counted in `EngineMetrics::inflight_waits`).
+    pub fn evaluate(&self, point: &ParamPoint) -> ProphetResult<(SampleSet, EvalOutcome)> {
+        self.resolve_claim(point, None)
     }
 
-    /// Block on another session's in-flight simulation of `point`. If the
-    /// owner abandons it (error, or a store clear mid-flight), or publishes
-    /// fewer worlds than this engine requires (shared store, differing
-    /// `worlds_per_point`), re-claim: becoming the owner means
-    /// re-simulating at this engine's own depth. (Crate-visible: the
-    /// scheduled pipeline in [`crate::scheduler`] resolves its waits
-    /// through the same path.)
-    pub(crate) fn resolve_wait(
+    /// The claim cycle for one point. With `pending` set (the batch
+    /// pipeline's wait phase passes the handle its batch claim returned),
+    /// first block on that in-flight simulation; then claim the point:
+    /// `Ready` serves the stored samples, `Pending` waits again, `Owner`
+    /// runs the cycle here. If an owner abandons its simulation (error, or
+    /// a store clear mid-flight), or publishes fewer worlds than this
+    /// engine requires (shared store, differing `worlds_per_point`), the
+    /// loop re-claims: becoming the owner means re-simulating at this
+    /// engine's own depth.
+    pub(crate) fn resolve_claim(
         &self,
         point: &ParamPoint,
-        handle: WaitHandle,
+        mut pending: Option<WaitHandle>,
     ) -> ProphetResult<(SampleSet, EvalOutcome)> {
-        let mut handle = Some(handle);
         loop {
-            if let Some(h) = handle.take() {
+            if let Some(h) = pending.take() {
                 if let Some((samples, worlds)) = h.wait() {
                     if worlds >= self.config().worlds_per_point {
                         self.bump(|m| {
@@ -289,16 +81,16 @@ impl Engine {
                     self.bump(|m| m.points_cached += 1);
                     return Ok((self.to_sample_set(point, &samples), EvalOutcome::Cached));
                 }
-                TryClaim::Pending(h) => handle = Some(h),
+                TryClaim::Pending(h) => pending = Some(h),
                 TryClaim::Owner(guard) => return self.run_owner(point, guard),
             }
         }
     }
 
     /// Probe one point's fingerprints and run the (single-probe) match
-    /// scan, with the same metric accounting as the batched phase. Shared
-    /// by [`Engine::run_owner`] and the progressive estimator in
-    /// [`crate::session`].
+    /// scan, with the same metric accounting as the batch pipeline's match
+    /// phase. Shared by [`Engine::run_owner`] and the progressive estimator
+    /// in [`crate::session`].
     pub(crate) fn probe_and_match_one(
         &self,
         point: &ParamPoint,
@@ -309,7 +101,7 @@ impl Engine {
             std::slice::from_ref(&probes),
             self.stochastic_columns(),
             &self.config().detector,
-            1,
+            self.config().threads.max(1),
             self.config().match_index,
         );
         let hit = hits.pop().flatten();
@@ -323,8 +115,7 @@ impl Engine {
         Ok((probes, hit))
     }
 
-    /// Sequential Figure-1 cycle for one owned point — the retry path when
-    /// a waited-on simulation was cancelled under us.
+    /// Sequential Figure-1 cycle for one owned point.
     fn run_owner(
         &self,
         point: &ParamPoint,
@@ -371,62 +162,18 @@ impl Engine {
     }
 }
 
-/// Collapse a point list to unique points in first-seen order plus, per
-/// input slot, the index of its unique point. Shared by this blocking
-/// pipeline and the scheduled one ([`crate::scheduler`]), so both agree on
-/// what "the batch's unique points" means.
-pub(crate) fn dedupe_points(points: &[ParamPoint]) -> (Vec<ParamPoint>, Vec<usize>) {
-    let mut unique: Vec<ParamPoint> = Vec::new();
-    let mut index_of: HashMap<ParamPoint, usize> = HashMap::with_capacity(points.len());
-    let slot_of: Vec<usize> = points
-        .iter()
-        .map(|p| {
-            *index_of.entry(p.clone()).or_insert_with(|| {
-                unique.push(p.clone());
-                unique.len() - 1
-            })
-        })
-        .collect();
-    (unique, slot_of)
-}
-
-/// Apply `f` to every item, fanning out across up to `threads` scoped
-/// workers (contiguous chunks, results in input order). Single-item or
-/// single-thread calls run inline with no spawn overhead.
-fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move || slice.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("invariant: executor workers do not panic"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::job::Priority;
     use crate::scenario::Scenario;
+    use crate::scheduler::Scheduler;
     use prophet_models::demo_registry;
 
-    fn engine(config: EngineConfig) -> Engine {
+    fn engine(config: EngineConfig) -> Arc<Engine> {
         let scenario = Scenario::figure2().unwrap();
-        Engine::new(&scenario, demo_registry(), config).unwrap()
+        Arc::new(Engine::new(&scenario, demo_registry(), config).unwrap())
     }
 
     fn small_config() -> EngineConfig {
@@ -445,10 +192,20 @@ mod tests {
         ])
     }
 
+    /// Run `points` as one batch job on a private pool.
+    fn evaluate_batch(e: &Arc<Engine>, points: &[ParamPoint]) -> Vec<(SampleSet, EvalOutcome)> {
+        Scheduler::private(e.config().threads)
+            .submit_batch(Arc::clone(e), points.to_vec(), Priority::Normal)
+            .wait()
+            .unwrap()
+            .into_points()
+            .unwrap()
+    }
+
     #[test]
     fn empty_batch_is_a_no_op() {
         let e = engine(small_config());
-        assert!(e.evaluate_batch(&[]).unwrap().is_empty());
+        assert!(evaluate_batch(&e, &[]).is_empty());
         assert_eq!(e.metrics().points_total(), 0);
     }
 
@@ -456,7 +213,7 @@ mod tests {
     fn duplicate_points_in_one_batch_are_evaluated_once() {
         let e = engine(small_config());
         let p = demo_point(10, 16, 36, 12);
-        let results = e.evaluate_batch(&[p.clone(), p.clone(), p]).unwrap();
+        let results = evaluate_batch(&e, &[p.clone(), p.clone(), p]);
         assert_eq!(results.len(), 3);
         for (samples, outcome) in &results {
             assert_eq!(*outcome, EvalOutcome::Simulated);
@@ -473,9 +230,7 @@ mod tests {
         let e = engine(small_config());
         let a = demo_point(5, 16, 36, 12);
         let b = demo_point(50, 0, 4, 44);
-        let results = e
-            .evaluate_batch(&[a.clone(), b.clone(), a.clone()])
-            .unwrap();
+        let results = evaluate_batch(&e, &[a.clone(), b.clone(), a.clone()]);
         assert_eq!(results[0].0.point(), &a);
         assert_eq!(results[1].0.point(), &b);
         assert_eq!(results[2].0.point(), &a);
@@ -484,9 +239,7 @@ mod tests {
     #[test]
     fn batch_phase_clocks_are_recorded() {
         let e = engine(small_config());
-        let results = e
-            .evaluate_batch(&[demo_point(5, 16, 36, 12), demo_point(5, 16, 36, 36)])
-            .unwrap();
+        let results = evaluate_batch(&e, &[demo_point(5, 16, 36, 12), demo_point(5, 16, 36, 36)]);
         assert_eq!(results.len(), 2);
         let m = e.metrics();
         assert_eq!(m.batch_probes, 2, "both cold points probed in batch");

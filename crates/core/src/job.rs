@@ -16,9 +16,10 @@
 //! chunk-sized slices of work so concurrent jobs interleave by
 //! [`Priority`] instead of queueing whole-sweep-at-a-time. The scheduler
 //! module's docs carry the chunking and determinism argument; the short
-//! version is that a job's final answer is bit-identical to the blocking
-//! path at any chunk size, priority mix, and worker count — the
-//! differential suite in `tests/jobs.rs` enforces it.
+//! version is that a job's final answer is bit-identical at any chunk
+//! size, priority mix, and worker count, and across the scalar and
+//! columnar tiers — the differential suite in `tests/jobs.rs` enforces it
+//! against the scalar tier at `threads: 1` on a one-worker pool.
 //!
 //! Dropping a [`JobHandle`] detaches it: the job still runs to completion
 //! (its publications land in the shared basis store exactly as if someone
@@ -177,8 +178,8 @@ impl JobProgress {
 /// sweep advances; a points/refresh job (a single batch) emits them when
 /// that batch completes, just before the final event. Publishing is
 /// deliberately deferred to batch finalization so that store insertion
-/// order (and therefore every future match tie-break) is identical to
-/// the blocking path — the bit-identity contract outranks mid-batch
+/// order (and therefore every future match tie-break) is independent of
+/// the schedule — the bit-identity contract outranks mid-batch
 /// streaming. Live *progress* is not deferred:
 /// [`JobHandle::progress`] advances as chunks complete inside a batch.
 #[derive(Debug, Clone)]
@@ -378,9 +379,18 @@ impl JobHandle {
     /// the final answer. Cancellation surfaces as
     /// [`ProphetError::JobCancelled`].
     pub fn wait(self) -> ProphetResult<JobOutput> {
+        self.wait_with(|_| {})
+    }
+
+    /// [`JobHandle::wait`], handing each [`JobEvent::Chunk`] to `on_chunk`
+    /// on the caller's thread as it arrives.
+    pub(crate) fn wait_with(
+        self,
+        mut on_chunk: impl FnMut(ChunkUpdate),
+    ) -> ProphetResult<JobOutput> {
         for event in self.events() {
             match event {
-                JobEvent::Chunk(_) => {}
+                JobEvent::Chunk(update) => on_chunk(update),
                 JobEvent::Final(output) => return Ok(output),
                 JobEvent::Cancelled => return Err(ProphetError::JobCancelled),
                 JobEvent::Failed(err) => return Err(err),

@@ -125,12 +125,12 @@
 //! ```
 //!
 //! The blocking calls remain and are now thin clients:
-//! [`OfflineOptimizer::run`] and [`OnlineSession::refresh`] on
-//! service-handed objects are exactly `submit(...).wait()`, and the
-//! differential suite in `tests/jobs.rs` proves a job's final answer is
-//! bit-identical to the blocking executor at every chunk size, priority
-//! mix, and worker count (the [`scheduler`] module docs carry the
-//! argument).
+//! [`OfflineOptimizer::run`] and [`OnlineSession::refresh`] are exactly
+//! `submit(...).wait()`, and the differential suite in `tests/jobs.rs`
+//! proves a job's final answer is bit-identical at every chunk size,
+//! priority mix, and worker count to the reference run — the scalar tier
+//! at `threads: 1` on a one-worker pool (the [`scheduler`] module docs
+//! carry the argument).
 //!
 //! ## Migrating from 0.2 (blocking calls → jobs)
 //!
@@ -138,7 +138,7 @@
 //! |-----|-----|
 //! | `prophet.offline(name)?.run()?` | `prophet.submit(JobSpec::sweep(name))?.wait()?.into_sweep()?` (the blocking form still works and is now implemented exactly this way) |
 //! | `session.refresh()?` | `prophet.submit(JobSpec::refresh(name, sliders))?.wait()?.into_points()?` (ditto; the session form also updates its series) |
-//! | `engine.evaluate_batch(&points)?` | `prophet.submit(JobSpec::points(name, points))?.wait()?.into_points()?` |
+//! | `engine.evaluate_batch(&points)?` | `prophet.submit(JobSpec::points(name, points))?.wait()?.into_points()?` (the engine-level batch call is gone: the scheduler's pipeline is the only batch path) |
 //! | no equivalent | `handle.progress()` / `handle.events()` / `handle.cancel()` — progress, partial results, cancellation |
 //! | `scenario_names()` + `basis_stats(name)` loop | [`Prophet::basis_stats_all`] |
 //!
@@ -154,8 +154,9 @@
 //! are now gone. Direct engine composition remains available via
 //! [`Engine::new`] / [`Engine::with_basis_store`] plus
 //! [`OnlineSession::open`] / [`OfflineOptimizer::open`] — these run their
-//! work on the caller's thread (the blocking reference tier the scheduled
-//! pipeline is differentially tested against).
+//! batches on a private, untraced pool through the same batch pipeline
+//! as the service, and [`Engine::evaluate`] runs one point's claim cycle
+//! on the caller's thread.
 //!
 //! ## Observability (0.8)
 //!

@@ -98,16 +98,18 @@ pub struct EngineMetrics {
     /// Evaluations served by blocking on another session's in-flight
     /// simulation of the same point (thundering-herd dedup).
     pub inflight_waits: u64,
-    /// Points whose store probe went through the batched planner
-    /// ([`Engine::evaluate_batch`](crate::engine::Engine::evaluate_batch)'s
-    /// source-parallel `find_correlated_batch` stage).
+    /// Points whose store probe went through the batch pipeline's match
+    /// phase (one source-parallel `find_correlated_batch` scan per batch,
+    /// in the scheduler). Single-point
+    /// [`Engine::evaluate`](crate::engine::Engine::evaluate) probes are
+    /// not counted.
     pub batch_probes: u64,
-    /// Executor wall-clock nanoseconds inside the probe/match/remap phase.
+    /// Pipeline wall-clock nanoseconds inside the probe/match/remap phase.
     /// Unlike [`fingerprint_time`](EngineMetrics::fingerprint_time), which
     /// sums per-call durations across parallel workers, this measures the
     /// phase as the caller experiences it.
     pub probe_nanos: u64,
-    /// Executor wall-clock nanoseconds inside the simulation phase (same
+    /// Pipeline wall-clock nanoseconds inside the simulation phase (same
     /// wall-vs-summed distinction as
     /// [`probe_nanos`](EngineMetrics::probe_nanos)).
     pub sim_nanos: u64,

@@ -17,15 +17,12 @@
 //!
 //! The sweep's *plan* — grouping, per-group axis expansion, constraint
 //! aggregation, feasibility, ranking — lives in one crate-internal
-//! `SweepPlan`, shared by two executions of identical semantics:
-//!
-//! * the blocking reference loop ([`OfflineOptimizer::run_with_observer`]),
-//!   which evaluates group batches on the caller's thread, and
-//! * the scheduled sweep job ([`crate::scheduler`]), which
-//!   [`OfflineOptimizer::run`] submits when the optimizer was opened
-//!   through a [`Prophet`](crate::service::Prophet) — the blocking call
-//!   then simply becomes `submit(sweep).wait()`, and concurrent jobs
-//!   interleave with the sweep chunk-by-chunk.
+//! `SweepPlan`, which the scheduler's sweep job ([`crate::scheduler`])
+//! executes. [`OfflineOptimizer::run`] and
+//! [`OfflineOptimizer::run_with_observer`] submit that job and block on
+//! it: on the service's pool for an optimizer opened through a
+//! [`Prophet`](crate::service::Prophet), where concurrent jobs interleave
+//! with the sweep chunk by chunk, or on the optimizer's private pool.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -39,7 +36,7 @@ use prophet_sql::Script;
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
 use crate::job::Priority;
-use crate::metrics::{EngineMetrics, Stopwatch};
+use crate::metrics::EngineMetrics;
 use crate::scheduler::Scheduler;
 
 /// One feasible (or candidate) answer of the OPTIMIZE query.
@@ -77,9 +74,8 @@ impl OfflineReport {
 
 /// The declarative shape of one OPTIMIZE sweep: which parameters form the
 /// GROUP BY grid, which sweep per group as the axis, how constraint
-/// metrics aggregate, and how answers rank. Pure data + pure functions —
-/// the blocking loop and the scheduled sweep driver both execute exactly
-/// this plan, which is what makes their answers bit-identical.
+/// metrics aggregate, and how answers rank. Pure data + pure functions,
+/// executed by the scheduler's sweep driver.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepPlan {
     spec: OptimizeSpec,
@@ -232,18 +228,16 @@ impl SweepPlan {
 pub struct OfflineOptimizer {
     engine: Arc<Engine>,
     plan: SweepPlan,
-    /// Present when opened through a [`Prophet`](crate::service::Prophet):
-    /// [`OfflineOptimizer::run`] then executes as a submitted job on the
-    /// service's shared scheduler instead of seizing the caller's thread
-    /// pool.
-    scheduler: Option<Arc<Scheduler>>,
+    /// The pool sweeps run on: the service's shared scheduler when opened
+    /// through a [`Prophet`](crate::service::Prophet), a private untraced
+    /// one otherwise.
+    scheduler: Arc<Scheduler>,
 }
 
 impl std::fmt::Debug for OfflineOptimizer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OfflineOptimizer")
             .field("spec", self.plan.spec())
-            .field("scheduled", &self.scheduler.is_some())
             .field("engine", &self.engine)
             .finish_non_exhaustive()
     }
@@ -251,34 +245,32 @@ impl std::fmt::Debug for OfflineOptimizer {
 
 impl OfflineOptimizer {
     /// Open an optimizer over an already-built engine; the scenario must
-    /// carry an OPTIMIZE directive. Optimizers opened this way run their
-    /// sweeps on the caller's thread (the blocking reference path);
-    /// optimizers handed out by [`Prophet::offline`] run them as scheduled
-    /// jobs instead.
+    /// carry an OPTIMIZE directive. Sweeps run on a private pool sized
+    /// like a service's (`SchedulerConfig::workers` resolved from
+    /// `EngineConfig::threads`), with tracing off; optimizers handed out
+    /// by [`Prophet::offline`] share the service's pool instead.
     ///
     /// [`Prophet::offline`]: crate::service::Prophet::offline
     pub fn open(engine: Engine) -> ProphetResult<Self> {
         let plan = SweepPlan::from_script(engine.script())?;
+        let scheduler = Scheduler::private(engine.config().threads);
         Ok(OfflineOptimizer {
             engine: Arc::new(engine),
             plan,
-            scheduler: None,
+            scheduler,
         })
     }
 
-    /// Open over a shared engine, executing sweeps through the service's
-    /// scheduler ([`Prophet::offline`]'s constructor).
+    /// Open over a shared engine, executing sweeps on `scheduler` (the
+    /// service's pool, for [`Prophet::offline`]).
     ///
     /// [`Prophet::offline`]: crate::service::Prophet::offline
-    pub(crate) fn open_scheduled(
-        engine: Arc<Engine>,
-        scheduler: Arc<Scheduler>,
-    ) -> ProphetResult<Self> {
+    pub(crate) fn open_on(engine: Arc<Engine>, scheduler: Arc<Scheduler>) -> ProphetResult<Self> {
         let plan = SweepPlan::from_script(engine.script())?;
         Ok(OfflineOptimizer {
             engine,
             plan,
-            scheduler: Some(scheduler),
+            scheduler,
         })
     }
 
@@ -297,63 +289,43 @@ impl OfflineOptimizer {
         self.plan.groups_total()
     }
 
-    /// Run the full sweep to completion.
-    ///
-    /// Through a [`Prophet`](crate::service::Prophet)-opened optimizer
-    /// this is `submit(JobSpec::sweep(…)).wait()`: the sweep executes as
-    /// priority-interleaved chunks on the service's shared scheduler
-    /// (other jobs can overtake it), with an answer bit-identical to the
-    /// blocking reference loop. For incremental consumption — progress,
-    /// partial results, cancellation — submit the job yourself and keep
-    /// the [`JobHandle`](crate::job::JobHandle).
+    /// Run the full sweep to completion: `submit(JobSpec::sweep(…)).wait()`
+    /// on this optimizer's pool, as priority-interleaved chunks that other
+    /// jobs can overtake. For incremental consumption — progress, partial
+    /// results, cancellation — submit the job yourself through
+    /// [`Prophet::submit`](crate::service::Prophet::submit) and keep the
+    /// [`JobHandle`](crate::job::JobHandle).
     pub fn run(&self) -> ProphetResult<OfflineReport> {
-        match &self.scheduler {
-            Some(scheduler) => scheduler
-                .submit_sweep(
-                    Arc::clone(&self.engine),
-                    self.plan.clone(),
-                    Priority::Normal,
-                )
-                .wait()?
-                .into_sweep(),
-            None => self.run_with_observer(|_, _, _| {}),
-        }
+        self.run_with_observer(|_, _, _| {})
     }
 
-    /// Run the full sweep on the caller's thread, reporting every point
-    /// evaluation to `observer` as `(group point, full point, outcome)` —
-    /// the hook the Figure-4 exploration map and the demo's "live-updated
-    /// view" use. This is the blocking *reference* execution of the sweep
-    /// plan (the scheduled job path is differentially tested against it);
-    /// the observer runs inline, in canonical sweep order.
+    /// Run the full sweep like [`OfflineOptimizer::run`], reporting every
+    /// point evaluation to `observer` as `(group point, full point,
+    /// outcome)` — the hook the Figure-4 exploration map and the demo's
+    /// "live-updated view" use. The observer runs on the caller's thread,
+    /// in canonical sweep order, as each group's results stream in.
     pub fn run_with_observer(
         &self,
         mut observer: impl FnMut(&ParamPoint, &ParamPoint, &EvalOutcome),
     ) -> ProphetResult<OfflineReport> {
-        let start = Stopwatch::start();
-        let before = self.engine.metrics();
-        let mut answers = Vec::with_capacity(self.plan.groups_total());
-
-        for group in self.plan.groups() {
-            let full_points = self.plan.group_points(&group);
-            let results = self.engine.evaluate_batch(&full_points)?;
-            for (full, (_, outcome)) in full_points.iter().zip(&results) {
-                observer(&group, full, outcome);
-            }
-            answers.push(
-                self.plan
-                    .answer_for(&group, &results, self.engine.output_columns())?,
-            );
-        }
-
-        let (best, answers) = self.plan.rank(answers);
-        Ok(OfflineReport {
-            best,
-            groups_total: self.plan.groups_total(),
-            answers,
-            metrics: self.engine.metrics().since(&before),
-            wall: start.elapsed(),
-        })
+        let groups = self.plan.groups();
+        let axis_total = self.plan.axis_total();
+        let mut seen = 0usize;
+        self.scheduler
+            .submit_sweep(
+                Arc::clone(&self.engine),
+                self.plan.clone(),
+                Priority::Normal,
+            )
+            .wait_with(|update| {
+                // Groups stream in canonical order, each as its full
+                // axis batch, so a point's position names its group.
+                for (full, outcome) in &update.results {
+                    observer(&groups[seen / axis_total], full, outcome);
+                    seen += 1;
+                }
+            })?
+            .into_sweep()
     }
 }
 

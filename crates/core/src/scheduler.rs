@@ -36,25 +36,27 @@
 //! The queue orders chunks by `(priority, job id, chunk sequence)`:
 //! higher-priority jobs first, then older jobs, then earlier chunks.
 //!
-//! # Determinism: why a job's answer is bit-identical to the blocking path
+//! # Determinism: why a job's answer is independent of the schedule
 //!
-//! [`Engine::evaluate_batch`] is the reference semantics. Its batch
-//! pipeline has exactly three parallel phases, and each is *independent
-//! per point*: probe evaluation derives every fingerprint from fixed
+//! `run_batch` is the workspace's only batch pipeline: the bare engine's
+//! [`OnlineSession`](crate::session::OnlineSession) /
+//! [`OfflineOptimizer`](crate::offline::OfflineOptimizer) (each on a
+//! private pool), the service, the CLI and the benchmarks all execute
+//! it. It has exactly three parallel phases, and each is *independent per
+//! point*: probe evaluation derives every fingerprint from fixed
 //! canonical seeds, remapping is a pure function of the already-chosen
 //! hit, and miss simulation seeds each world from `(root seed, world,
-//! point)`. The scheduled pipeline (`run_batch`) keeps everything else
-//! sequential on the driver, in the same order as the blocking path:
+//! point)`. Everything else stays sequential on the driver:
 //!
-//! * the store snapshot structure is preserved — all of a batch's probes
+//! * the store snapshot structure is fixed — all of a batch's probes
 //!   match against the store state at batch start, never against siblings
 //!   of the same batch, because the match scan runs once, on the driver,
 //!   after every probe chunk has landed;
-//! * publish order is preserved — the driver completes claims in batch
-//!   order (hits first, then misses), so insertion stamps, and therefore
-//!   future `(error, stamp)` tie-breaks, are identical to the blocking
-//!   path at every chunk size and worker count;
-//! * work accounting is preserved — the same primitives bump the same
+//! * publish order is fixed — the driver completes claims in batch order
+//!   (hits first, then misses), so insertion stamps, and therefore future
+//!   `(error, stamp)` tie-breaks, are identical at every chunk size and
+//!   worker count;
+//! * work accounting is fixed — the same primitives bump the same
 //!   counters, and the match scan's scanned/pruned numbers are already
 //!   thread-independent (PR 4's invariant);
 //! * concurrent jobs over the same points never split a batch — the plan
@@ -66,8 +68,10 @@
 //! Chunking therefore changes *when* independent point computations run,
 //! never *what* they compute or *in which order their results become
 //! visible*. The differential suite in `tests/jobs.rs` enforces this
-//! across every bundled scenario, chunk sizes {1, default, whole-sweep},
-//! 1 vs 8 workers, and concurrent jobs at mixed priorities.
+//! against the reference run — the scalar tier at `threads: 1` on a
+//! one-worker pool — across every bundled scenario, chunk sizes
+//! {1, default, whole-sweep}, 1 vs 8 workers, and concurrent jobs at
+//! mixed priorities.
 //!
 //! # Cancellation
 //!
@@ -104,7 +108,6 @@
 //! `docs/OBSERVABILITY.md` for the event taxonomy and clock model.
 //!
 //! [`JobHandle::trace`]: crate::job::JobHandle::trace
-//! [`Engine::evaluate_batch`]: crate::engine::Engine::evaluate_batch
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -120,7 +123,6 @@ use prophet_mc::{BasisHit, InflightGuard, ParamPoint, SampleSet, TryClaim, WaitH
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
-use crate::executor::dedupe_points;
 use crate::job::{ChunkUpdate, JobCore, JobEvent, JobHandle, JobOutput, Priority};
 use crate::metrics::Stopwatch;
 use crate::offline::{OfflineReport, SweepPlan};
@@ -190,6 +192,22 @@ impl Default for SchedulerConfig {
             chaos_seed: None,
             trace: TraceConfig::ring(),
         }
+    }
+}
+
+/// The pool size for a [`SchedulerConfig::workers`] setting: an explicit
+/// count is honoured, `0` resolves to `engine_threads` floored at 2. Job
+/// drivers occupy a worker for their whole job, so a 1-worker pool would
+/// queue a high-priority driver behind an entire running sweep — the
+/// whole-job serialization the scheduler exists to eliminate. Two lanes
+/// guarantee an interactive driver starts beside one batch driver even at
+/// `threads: 1` (an explicit `workers: 1` stays available to tests that
+/// want a serialized pool).
+pub(crate) fn resolve_workers(workers: usize, engine_threads: usize) -> usize {
+    if workers == 0 {
+        engine_threads.max(2)
+    } else {
+        workers
     }
 }
 
@@ -436,14 +454,13 @@ impl std::fmt::Debug for Scheduler {
 }
 
 impl Scheduler {
-    /// Spawn a pool. `config.workers == 0` falls back to one worker.
-    /// (The [`Prophet`](crate::service::Prophet) builder resolves `0` to
-    /// its engine thread count, floored at 2, before calling this.)
-    /// Crate-private: jobs can only be submitted through a
-    /// [`Prophet`](crate::service::Prophet), which owns its pool — a
-    /// freestanding scheduler would have no public way to receive work.
-    pub(crate) fn new(config: SchedulerConfig) -> Self {
-        let workers = config.workers.max(1);
+    /// Spawn a pool for engines running `engine_threads` threads, sized by
+    /// [`resolve_workers`]. Crate-private: jobs reach a pool only through
+    /// its owner — a [`Prophet`](crate::service::Prophet), or the private
+    /// pool of a bare [`OnlineSession`](crate::session::OnlineSession) /
+    /// [`OfflineOptimizer`](crate::offline::OfflineOptimizer).
+    pub(crate) fn new(config: SchedulerConfig, engine_threads: usize) -> Self {
+        let workers = resolve_workers(config.workers, engine_threads);
         let inner = Arc::new(Inner {
             state: OrderedMutex::new(
                 SCHEDULER_STATE,
@@ -479,6 +496,18 @@ impl Scheduler {
             workers,
             handles: OrderedMutex::new(SCHEDULER_HANDLES, handles),
         }
+    }
+
+    /// The untraced default pool a bare session or optimizer owns: its
+    /// jobs run the same pipeline as a service's, with no recorder.
+    pub(crate) fn private(engine_threads: usize) -> Arc<Self> {
+        Arc::new(Scheduler::new(
+            SchedulerConfig {
+                trace: TraceConfig::Off,
+                ..SchedulerConfig::default()
+            },
+            engine_threads,
+        ))
     }
 
     /// Worker threads in the pool.
@@ -890,6 +919,23 @@ where
     std::mem::take(&mut *slots)
 }
 
+/// Collapse a point list to unique points in first-seen order plus, per
+/// input slot, the index of its unique point.
+fn dedupe_points(points: &[ParamPoint]) -> (Vec<ParamPoint>, Vec<usize>) {
+    let mut unique: Vec<ParamPoint> = Vec::new();
+    let mut index_of: HashMap<ParamPoint, usize> = HashMap::with_capacity(points.len());
+    let slot_of: Vec<usize> = points
+        .iter()
+        .map(|p| {
+            *index_of.entry(p.clone()).or_insert_with(|| {
+                unique.push(p.clone());
+                unique.len() - 1
+            })
+        })
+        .collect();
+    (unique, slot_of)
+}
+
 /// Collect a phase's chunk results, mapping lost slots to either "the job
 /// was cancelled" (`None`) or an internal error (a chunk panicked).
 fn collect_phase<T>(
@@ -911,10 +957,14 @@ fn collect_phase<T>(
     Ok(Some(collected))
 }
 
-/// The scheduled mirror of [`Engine::evaluate_batch`]: same phases, same
-/// sequential skeleton, same publish order — the parallel phases fan out
-/// as pool chunks instead of per-call scoped threads. See the [module
-/// docs](self) for the bit-identity argument.
+/// The Figure-1 cycle over one batch of points — the workspace's only
+/// batch pipeline. Phases: plan (dedupe, then claim the batch
+/// atomically), probe, match, remap, publish hits, simulate, publish
+/// misses, and resolve cross-session waits last, so this batch's own
+/// publications are out before it blocks on anyone else's. The probe,
+/// remap and simulate phases fan out as pool chunks; everything else runs
+/// on the driver. See the [module docs](self) for the bit-identity
+/// argument.
 fn run_batch(
     inner: &Arc<Inner>,
     core: &Arc<JobCore>,
@@ -1080,11 +1130,10 @@ fn run_batch(
     // at least `threads` misses, each chunk simulates single-threaded
     // (`world_parallel: false`) and parallelism lives at the chunk level;
     // with fewer misses than threads — the interactive small-refresh case
-    // — the misses run as one chunk of world-parallel simulations,
-    // exactly the blocking executor's schedule, so a lone cold point
-    // still fans its worlds across the machine. The world→sample
-    // assignment is seed-based, so samples and counters are identical
-    // under every schedule.
+    // — the misses run as one chunk of world-parallel simulations, so a
+    // lone cold point still fans its worlds across the machine. The
+    // world→sample assignment is seed-based, so samples and counters are
+    // identical under every schedule.
     if !to_simulate.is_empty() {
         if core.is_cancelled() {
             return Ok(BatchOut::Cancelled);
@@ -1151,10 +1200,12 @@ fn run_batch(
         }
     }
 
-    // ---- resolve cross-session waits last, mirroring the blocking path.
+    // ---- resolve cross-session waits last, so our own publications are
+    // already out (two jobs waiting on each other's points therefore
+    // cannot deadlock).
     for i in 0..unique.len() {
         if let Some(handle) = waits[i].take() {
-            results[i] = Some(engine.resolve_wait(&unique[i], handle)?);
+            results[i] = Some(engine.resolve_claim(&unique[i], Some(handle))?);
             core.points_done.fetch_add(1, Ordering::AcqRel);
         }
     }

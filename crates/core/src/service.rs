@@ -133,7 +133,7 @@ impl ProphetBuilder {
 
     /// Tune the service's job scheduler (worker pool size, chunk
     /// granularity). By default the pool runs
-    /// `EngineConfig::threads.max(1)` workers and chunks jobs at
+    /// `EngineConfig::threads.max(2)` workers and chunks jobs at
     /// [`crate::scheduler::DEFAULT_CHUNK_POINTS`] points.
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
         self.scheduler = config;
@@ -182,21 +182,7 @@ impl ProphetBuilder {
         let registry = self
             .registry
             .unwrap_or_else(|| Arc::new(prophet_models::full_registry()));
-        // Auto-resolved pools get at least 2 workers: job drivers occupy
-        // a worker for their whole job, so a 1-worker pool would queue a
-        // high-priority driver behind an entire running sweep — the exact
-        // whole-job serialization the scheduler exists to eliminate. Two
-        // lanes guarantee an interactive driver starts beside one batch
-        // driver even at `threads: 1` (an explicit `workers: 1` is
-        // honoured for tests that want a serialized pool).
-        let scheduler = Arc::new(Scheduler::new(SchedulerConfig {
-            workers: if self.scheduler.workers == 0 {
-                self.config.threads.max(2)
-            } else {
-                self.scheduler.workers
-            },
-            ..self.scheduler
-        }));
+        let scheduler = Arc::new(Scheduler::new(self.scheduler, self.config.threads));
         // Stores share the pool's recorder so claim/wait/publish/evict
         // markers and in-flight wait latencies land in the same trace as
         // the scheduler events.
@@ -283,16 +269,17 @@ impl Prophet {
         let slot = self.slot(name)?;
         let engine = Arc::new(self.engine_for(slot)?);
         let guide = self.guide_factory.build(&slot.scenario.script().params);
-        OnlineSession::open_scheduled(engine, guide, Arc::clone(&self.scheduler))
+        OnlineSession::open_on(engine, guide, Arc::clone(&self.scheduler))
     }
 
     /// Open an offline optimizer on a named scenario, sharing the same
     /// basis store as the online sessions. Its blocking
-    /// [`run`](OfflineOptimizer::run) executes as `submit(sweep).wait()`
-    /// on the service scheduler.
+    /// [`run`](OfflineOptimizer::run) and
+    /// [`run_with_observer`](OfflineOptimizer::run_with_observer) execute
+    /// as `submit(sweep).wait()` on the service scheduler.
     pub fn offline(&self, name: &str) -> ProphetResult<OfflineOptimizer> {
         let slot = self.slot(name)?;
-        OfflineOptimizer::open_scheduled(
+        OfflineOptimizer::open_on(
             Arc::new(self.engine_for(slot)?),
             Arc::clone(&self.scheduler),
         )

@@ -87,12 +87,12 @@ pub struct OnlineSession {
     series: Vec<Series>,
     guide: Box<dyn Guide + Send>,
     adjustments: u64,
-    /// Present when opened through a [`Prophet`](crate::service::Prophet):
-    /// refreshes and prefetches then execute as submitted jobs on the
-    /// service's shared scheduler (interactive work at [`Priority::High`],
-    /// idle prefetch at [`Priority::Low`]) instead of building per-call
-    /// thread pools.
-    scheduler: Option<Arc<Scheduler>>,
+    /// The pool refreshes and prefetches run on, as submitted jobs
+    /// (interactive work at [`Priority::High`], idle prefetch at
+    /// [`Priority::Low`]): the service's shared scheduler when opened
+    /// through a [`Prophet`](crate::service::Prophet), a private untraced
+    /// one otherwise.
+    scheduler: Arc<Scheduler>,
 }
 
 impl std::fmt::Debug for OnlineSession {
@@ -109,7 +109,9 @@ impl OnlineSession {
     /// Open a session over an already-built engine, using the default
     /// [`PriorityGuide`] prefetch policy. The scenario must carry a
     /// `GRAPH OVER` directive; sliders for every non-axis parameter start
-    /// at their domain minimum.
+    /// at their domain minimum. The session runs its work on a private
+    /// pool sized like a service's (`SchedulerConfig::workers` resolved
+    /// from `EngineConfig::threads`), with tracing off.
     pub fn open(engine: Engine) -> ProphetResult<Self> {
         let guide = Box::new(PriorityGuide::new(&engine.script().params));
         OnlineSession::open_with_guide(engine, guide)
@@ -119,25 +121,18 @@ impl OnlineSession {
     /// [`Prophet`](crate::service::Prophet) builder's `.exploration(…)`
     /// hook lands here.
     pub fn open_with_guide(engine: Engine, guide: Box<dyn Guide + Send>) -> ProphetResult<Self> {
-        OnlineSession::build(Arc::new(engine), guide, None)
+        let scheduler = Scheduler::private(engine.config().threads);
+        OnlineSession::open_on(Arc::new(engine), guide, scheduler)
     }
 
-    /// Open over a shared engine, evaluating through the service's
-    /// scheduler ([`Prophet::online`]'s constructor).
+    /// Open over a shared engine, evaluating on `scheduler` (the service's
+    /// pool, for [`Prophet::online`]).
     ///
     /// [`Prophet::online`]: crate::service::Prophet::online
-    pub(crate) fn open_scheduled(
+    pub(crate) fn open_on(
         engine: Arc<Engine>,
         guide: Box<dyn Guide + Send>,
         scheduler: Arc<Scheduler>,
-    ) -> ProphetResult<Self> {
-        OnlineSession::build(engine, guide, Some(scheduler))
-    }
-
-    fn build(
-        engine: Arc<Engine>,
-        guide: Box<dyn Guide + Send>,
-        scheduler: Option<Arc<Scheduler>>,
     ) -> ProphetResult<Self> {
         let script = engine.script();
         let graph = script
@@ -170,23 +165,17 @@ impl OnlineSession {
         })
     }
 
-    /// Evaluate a batch of points: as a submitted job on the service
-    /// scheduler when this session is service-backed (so other sessions'
-    /// higher-priority chunks can interleave), directly on the engine's
-    /// blocking executor otherwise. Results are bit-identical either way
-    /// (the `tests/jobs.rs` differential suite enforces it).
+    /// Evaluate a batch of points as a submitted job on this session's
+    /// pool, so other jobs' higher-priority chunks can interleave.
     fn evaluate_points(
         &self,
         points: Vec<ParamPoint>,
         priority: Priority,
     ) -> ProphetResult<Vec<(SampleSet, EvalOutcome)>> {
-        match &self.scheduler {
-            Some(scheduler) => scheduler
-                .submit_batch(Arc::clone(&self.engine), points, priority)
-                .wait()?
-                .into_points(),
-            None => self.engine.evaluate_batch(&points),
-        }
+        self.scheduler
+            .submit_batch(Arc::clone(&self.engine), points, priority)
+            .wait()?
+            .into_points()
     }
 
     /// Current slider values (everything but the graph axis).
@@ -260,11 +249,11 @@ impl OnlineSession {
 
     /// Recompute every graph point for the current sliders, as one batch:
     /// every week probes the shared store in a single source-parallel scan
-    /// and the changed weeks simulate in parallel. Service-backed sessions
-    /// run the batch as a [`Priority::High`] job on the shared scheduler —
-    /// this call stays blocking (it is `submit(refresh).wait()`), but the
-    /// work interleaves with, and overtakes, lower-priority jobs instead
-    /// of queueing behind them.
+    /// and the changed weeks simulate in parallel. The batch runs as a
+    /// [`Priority::High`] job on the session's pool — this call stays
+    /// blocking (it is `submit(refresh).wait()`), but the work interleaves
+    /// with, and overtakes, lower-priority jobs instead of queueing behind
+    /// them.
     pub fn refresh(&mut self) -> ProphetResult<AdjustReport> {
         let start = Stopwatch::start();
         let mut report = AdjustReport {
@@ -300,10 +289,9 @@ impl OnlineSession {
     ///
     /// The drained points expand across every week of the graph axis and
     /// go through as one batch, so anticipatory work gets the same batched
-    /// probing and parallel simulation as a user-facing refresh — but on a
-    /// service-backed session it runs as a [`Priority::Low`] job, so any
-    /// interactive refresh submitted meanwhile overtakes it chunk by
-    /// chunk.
+    /// probing and parallel simulation as a user-facing refresh — but it
+    /// runs as a [`Priority::Low`] job, so any interactive refresh
+    /// submitted meanwhile on the same pool overtakes it chunk by chunk.
     pub fn prefetch_tick(&mut self, budget: usize) -> ProphetResult<usize> {
         let mut drained = Vec::new();
         while drained.len() < budget {

@@ -356,9 +356,9 @@ impl AtomicHistogram {
 
 // ------------------------------------------------------------- configuration
 
-/// How much a tier records. `Off` is the default for bare engines (the
-/// blocking reference tier); the `Prophet` service tier defaults to
-/// `Ring` via `SchedulerConfig`.
+/// How much a tier records. `Off` is the default, and what the private
+/// pools of bare sessions and optimizers run with; the `Prophet` service
+/// tier defaults to `Ring` via `SchedulerConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceConfig {
     /// No recorder at all: no allocation, record calls are one branch,

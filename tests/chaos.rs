@@ -5,7 +5,7 @@
 //! through a different interleaving of the same job. The scheduler's
 //! determinism contract (`docs/CONCURRENCY.md`) says interleaving carries
 //! no semantic weight: answers, chosen mapping sources, and work counters
-//! must be bit-identical to the blocking reference under *every* schedule.
+//! must be bit-identical to a quiet reference run under *every* schedule.
 //!
 //! This file sweeps ≥32 chaos seeds at 1 and 8 workers and asserts exactly
 //! that. Run under `--features check` (the CI lane does), every lock
@@ -30,8 +30,9 @@ fn config() -> EngineConfig {
 
 type SweepResult = (OfflineReport, HashMap<ParamPoint, EvalOutcome>);
 
-/// Blocking reference: no scheduler, no chaos.
-fn blocking_reference() -> SweepResult {
+/// Quiet reference: the same sweep on a bare optimizer's private pool —
+/// default chunking, no tracer, no chaos.
+fn quiet_reference() -> SweepResult {
     let engine = Engine::new(
         &Scenario::parse(PRICING_WHATIF).unwrap(),
         full_registry(),
@@ -89,14 +90,14 @@ fn run_perturbed_sweep(prophet: &Prophet) -> SweepResult {
 
 fn assert_bit_identical(label: &str, perturbed: &SweepResult, reference: &SweepResult) {
     let (sweep, outcomes) = perturbed;
-    let (blocking, blocking_outcomes) = reference;
-    assert_eq!(sweep.answers, blocking.answers, "{label}: answers");
-    assert_eq!(sweep.best, blocking.best, "{label}: optimum");
+    let (quiet, quiet_outcomes) = reference;
+    assert_eq!(sweep.answers, quiet.answers, "{label}: answers");
+    assert_eq!(sweep.best, quiet.best, "{label}: optimum");
     assert_eq!(
-        outcomes, blocking_outcomes,
+        outcomes, quiet_outcomes,
         "{label}: chosen mapping sources per point"
     );
-    let (a, b) = (&sweep.metrics, &blocking.metrics);
+    let (a, b) = (&sweep.metrics, &quiet.metrics);
     assert_eq!(a.points_simulated, b.points_simulated, "{label}: sim count");
     assert_eq!(a.points_mapped, b.points_mapped, "{label}: map count");
     assert_eq!(a.points_cached, b.points_cached, "{label}: cache count");
@@ -115,14 +116,14 @@ fn assert_bit_identical(label: &str, perturbed: &SweepResult, reference: &SweepR
 
 /// ≥32 seeds × {1, 8} workers, **with the flight recorder armed** (ring
 /// tracing, the service default): every perturbed schedule reproduces
-/// the blocking sweep bit-for-bit, with zero lock-rank or claim-ledger
+/// the quiet reference sweep bit-for-bit, with zero lock-rank or claim-ledger
 /// firings (any firing panics and fails this test under `check`). The
 /// recorder observing every queue pop, chunk run, and store publish must
 /// not perturb a single answer, source choice, or counter — tracing
 /// observes, never decides (`docs/OBSERVABILITY.md`).
 #[test]
 fn chaos_sweep_is_bit_identical_across_32_seeds_and_worker_counts() {
-    let reference = blocking_reference();
+    let reference = quiet_reference();
     for seed in 0..32u64 {
         for workers in [1usize, 8] {
             let prophet = chaotic_service(workers, seed, TraceConfig::ring());
@@ -141,14 +142,14 @@ fn chaos_sweep_is_bit_identical_across_32_seeds_and_worker_counts() {
 }
 
 /// The `Off` side of the tracing differential: a sample of perturbed
-/// schedules with the recorder disabled still matches the blocking
+/// schedules with the recorder disabled still matches the quiet
 /// reference bit-for-bit, and the disabled recorder is truly inert —
 /// zero events, zero histogram observations, zero ring accounting. (That
 /// `Off` also allocates no ring at all is pinned by the unit test in
 /// `prophet_mc::trace`.)
 #[test]
 fn chaos_sweep_with_tracing_off_is_identical_and_records_nothing() {
-    let reference = blocking_reference();
+    let reference = quiet_reference();
     for seed in [0u64, 7, 13, 21] {
         for workers in [1usize, 8] {
             let prophet = chaotic_service(workers, seed, TraceConfig::Off);
@@ -171,12 +172,12 @@ fn chaos_sweep_with_tracing_off_is_identical_and_records_nothing() {
 /// Chaos under contention: two jobs of the same scenario share one store
 /// while the scheduler is perturbed, so claims, waits and publishes all
 /// interleave differently per seed. Both jobs must still land on answers
-/// identical to the blocking reference, and the *pair's* combined work
+/// identical to the quiet reference, and the *pair's* combined work
 /// must show the second job reusing the first's published bases (the
 /// claim protocol guarantees at-most-once simulation per point).
 #[test]
 fn chaos_concurrent_jobs_share_the_store_correctly() {
-    let reference = blocking_reference();
+    let reference = quiet_reference();
     for seed in [3u64, 17, 29, 31, 40, 41, 54, 63] {
         let prophet = chaotic_service(8, seed, TraceConfig::ring());
         let first = prophet

@@ -2,8 +2,8 @@
 //!
 //! Fingerprinting is only sound if "a fixed sequence of random inputs"
 //! (§2) reproducibly drives every model: these tests pin the contract at
-//! every layer — raw generators, VG models, the executor, the engine, and
-//! both user-facing modes.
+//! every layer — raw generators, VG models, the batch pipeline, the
+//! engine, and both user-facing modes.
 
 use fuzzy_prophet::prelude::*;
 use prophet_data::Value;
@@ -135,20 +135,21 @@ fn match_index_pruning_is_thread_count_independent() {
     // waves only, so both the chosen sources *and* the scanned/pruned
     // accounting must be identical at every thread count.
     let eval = |threads: usize| {
-        let engine = Engine::new(
-            &Scenario::figure2().unwrap(),
-            demo_registry(),
-            EngineConfig {
+        let prophet = Prophet::builder()
+            .scenario("figure2", Scenario::figure2().unwrap())
+            .registry(demo_registry())
+            .config(EngineConfig {
                 worlds_per_point: 32,
                 threads,
                 ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        // A batch per week: mappable neighbours (pre-release feature
+            })
+            .build()
+            .unwrap();
+        // A batch job per week: mappable neighbours (pre-release feature
         // moves, purchase shifts) plus unrelated points, so the scans mix
         // hits, ties, and misses.
         let mut outcomes = Vec::new();
+        let mut metrics = EngineMetrics::default();
         for week in [5i64, 10, 15] {
             let batch: Vec<ParamPoint> = vec![
                 ParamPoint::from_pairs([
@@ -176,7 +177,15 @@ fn match_index_pruning_is_thread_count_independent() {
                     ("feature", 44),
                 ]),
             ];
-            for (samples, outcome) in engine.evaluate_batch(&batch).unwrap() {
+            let handle = prophet.submit(JobSpec::points("figure2", batch)).unwrap();
+            let mut results = Vec::new();
+            for event in handle.events() {
+                if let JobEvent::Final(output) = event {
+                    results = output.into_points().unwrap();
+                }
+            }
+            metrics.merge(&handle.progress().metrics);
+            for (samples, outcome) in results {
                 outcomes.push((
                     samples.point().clone(),
                     outcome,
@@ -185,7 +194,7 @@ fn match_index_pruning_is_thread_count_independent() {
                 ));
             }
         }
-        (outcomes, engine.metrics())
+        (outcomes, metrics)
     };
 
     let (outcomes_1, metrics_1) = eval(1);

@@ -1,5 +1,6 @@
-//! Integration tests for the batched evaluation executor and the shared
-//! store's in-flight deduplication, exercised through the service facade:
+//! Integration tests for the batch pipeline, single-point evaluation and
+//! the shared store's in-flight deduplication, exercised through the
+//! service facade:
 //!
 //! * mixed hit/miss batches resolve each point with the right outcome,
 //! * N sessions hammering one cold point perform exactly one simulation,
@@ -13,7 +14,7 @@ use std::sync::{Arc, Barrier};
 
 use fuzzy_prophet::prelude::*;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint};
-use prophet_mc::{SharedBasisStore, TryClaim};
+use prophet_mc::{SampleSet, SharedBasisStore, TryClaim};
 use prophet_models::demo_registry;
 
 fn figure2_service(worlds: usize, threads: usize) -> Prophet {
@@ -27,6 +28,27 @@ fn figure2_service(worlds: usize, threads: usize) -> Prophet {
         })
         .build()
         .unwrap()
+}
+
+/// Evaluate `points` as one batch job on the service's pool, returning the
+/// per-point results and the job's work counters.
+fn submit_points(
+    prophet: &Prophet,
+    points: &[ParamPoint],
+) -> (Vec<(SampleSet, EvalOutcome)>, EngineMetrics) {
+    let handle = prophet
+        .submit(JobSpec::points("figure2", points.to_vec()))
+        .unwrap();
+    let mut results = None;
+    for event in handle.events() {
+        if let JobEvent::Final(output) = event {
+            results = Some(output.into_points().unwrap());
+        }
+    }
+    (
+        results.expect("batch job must finish"),
+        handle.progress().metrics,
+    )
 }
 
 fn demo_point(current: i64, p1: i64, p2: i64, feature: i64) -> ParamPoint {
@@ -50,11 +72,8 @@ fn batch_with_mixed_hit_and_miss_points() {
     let mappable = demo_point(5, 16, 36, 36); // pre-release feature move
     let far = demo_point(50, 0, 4, 44);
     engine.evaluate(&warm).unwrap();
-    engine.reset_metrics();
 
-    let results = engine
-        .evaluate_batch(&[warm.clone(), mappable.clone(), far.clone()])
-        .unwrap();
+    let (results, m) = submit_points(&prophet, &[warm.clone(), mappable.clone(), far.clone()]);
     assert_eq!(results.len(), 3);
     assert_eq!(results[0].1, EvalOutcome::Cached);
     assert!(
@@ -64,7 +83,6 @@ fn batch_with_mixed_hit_and_miss_points() {
     );
     assert_eq!(results[2].1, EvalOutcome::Simulated);
 
-    let m = engine.metrics();
     assert_eq!(m.points_cached, 1);
     assert_eq!(m.points_mapped, 1);
     assert_eq!(m.points_simulated, 1);
@@ -243,8 +261,7 @@ fn batch_evaluation_is_bit_identical_to_sequential() {
         .collect();
 
     for threads in [1, 4] {
-        let batched = figure2_service(48, threads).engine("figure2").unwrap();
-        let batch_results = batched.evaluate_batch(&points).unwrap();
+        let (batch_results, _) = submit_points(&figure2_service(48, threads), &points);
         assert_eq!(batch_results.len(), seq_results.len());
         for (i, ((seq, _), (bat, _))) in seq_results.iter().zip(&batch_results).enumerate() {
             for col in ["demand", "capacity", "overload"] {
@@ -271,20 +288,15 @@ fn batch_evaluation_is_deterministic_across_thread_counts() {
         demo_point(5, 16, 36, 36),
         demo_point(50, 0, 4, 44),
     ];
-    let single = figure2_service(48, 1).engine("figure2").unwrap();
-    let quad = figure2_service(48, 4).engine("figure2").unwrap();
-    let r1 = single.evaluate_batch(&points).unwrap();
-    let r4 = quad.evaluate_batch(&points).unwrap();
+    let (r1, single) = submit_points(&figure2_service(48, 1), &points);
+    let (r4, quad) = submit_points(&figure2_service(48, 4), &points);
     for (i, ((a, oa), (b, ob))) in r1.iter().zip(&r4).enumerate() {
         assert_eq!(oa, ob, "point #{i} outcome");
         for col in ["demand", "capacity", "overload"] {
             assert_eq!(a.samples(col), b.samples(col), "point #{i} column {col}");
         }
     }
-    assert_eq!(
-        single.metrics().worlds_simulated,
-        quad.metrics().worlds_simulated
-    );
+    assert_eq!(single.worlds_simulated, quad.worlds_simulated);
 }
 
 #[test]

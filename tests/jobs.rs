@@ -1,17 +1,22 @@
 //! Differential and behavioural suite for the asynchronous job API.
 //!
-//! The scheduled pipeline is *defined* by bit-identity with the blocking
-//! executor (`Engine::evaluate_batch` / `OfflineOptimizer::run_with_observer`),
-//! and this file is the contract's enforcement:
+//! The scheduler's batch pipeline is the only one, and its answers are
+//! *defined* by bit-identity with a reference run of that same pipeline —
+//! the scalar tier at `threads: 1` on a one-worker pool — whatever the
+//! tier, chunk size, worker count, or priority mix. This file is the
+//! contract's enforcement:
 //!
-//! * `submit(Sweep).wait()` against the blocking sweep across the bundled
+//! * `submit(Sweep).wait()` against the reference sweep across the bundled
 //!   OPTIMIZE scenarios — identical best plan, per-group answers, chosen
 //!   mapping sources (streamed chunk outcomes), and work counters — for
 //!   chunk sizes {1, default, whole-sweep} and 1 vs 8 workers;
-//! * `submit(Points)` against `evaluate_batch` across all five bundled
+//! * `submit(Points)` against the reference batch across all five bundled
 //!   scenarios — bit-identical samples and outcomes per point;
+//! * `OfflineOptimizer::run_with_observer` on a service optimizer runs on
+//!   the service pool and reports every grid point once, in canonical
+//!   order;
 //! * two concurrent jobs at different priorities, each bit-identical to
-//!   its blocking run, plus priority-overtaking;
+//!   the reference run, plus priority-overtaking;
 //! * the cancellation satellites: cancel drops unstarted chunks (and a
 //!   resubmit reuses the published bases), cancel racing
 //!   `SharedBasisStore::clear`, and a dropped handle detaching (job still
@@ -104,14 +109,34 @@ fn collect_sweep(handle: JobHandle) -> (OfflineReport, HashMap<ParamPoint, EvalO
     (report.expect("sweep must finish"), outcomes)
 }
 
-/// Blocking reference sweep on a private engine (no scheduler involved).
-fn run_blocking_sweep(
+/// A service whose pool runs the reference configuration: `cfg` on the
+/// scalar tier at `threads: 1`, on one worker at the default chunk size.
+fn reference_service(name: &str, src: &str, reg: Reg, cfg: EngineConfig) -> Prophet {
+    let cfg = EngineConfig {
+        tier: ExecTier::Scalar,
+        threads: 1,
+        ..cfg
+    };
+    service(
+        name,
+        src,
+        reg,
+        cfg,
+        1,
+        SchedulerConfig::default().chunk_points,
+    )
+}
+
+/// The reference sweep, observed point by point through
+/// `OfflineOptimizer::run_with_observer`.
+fn run_reference_sweep(
     src: &str,
     reg: Reg,
     cfg: EngineConfig,
 ) -> (OfflineReport, HashMap<ParamPoint, EvalOutcome>) {
-    let engine = Engine::new(&Scenario::parse(src).unwrap(), reg.build(), cfg).unwrap();
-    let optimizer = OfflineOptimizer::open(engine).unwrap();
+    let optimizer = reference_service("reference", src, reg, cfg)
+        .offline("reference")
+        .unwrap();
     let mut outcomes = HashMap::new();
     let report = optimizer
         .run_with_observer(|_, full, outcome| {
@@ -127,19 +152,19 @@ fn assert_sweeps_identical(
     reference: &(OfflineReport, HashMap<ParamPoint, EvalOutcome>),
 ) {
     let (sched, sched_outcomes) = scheduled;
-    let (blocking, blocking_outcomes) = reference;
+    let (expected, expected_outcomes) = reference;
     assert_eq!(
-        sched.answers, blocking.answers,
+        sched.answers, expected.answers,
         "{label}: per-group answers"
     );
-    assert_eq!(sched.best, blocking.best, "{label}: sweep optimum");
-    assert_eq!(sched.groups_total, blocking.groups_total, "{label}");
+    assert_eq!(sched.best, expected.best, "{label}: sweep optimum");
+    assert_eq!(sched.groups_total, expected.groups_total, "{label}");
     assert_eq!(
-        sched_outcomes, blocking_outcomes,
+        sched_outcomes, expected_outcomes,
         "{label}: chosen mapping sources / outcomes per point"
     );
     // Work counters (not timings) must agree exactly too.
-    let (a, b) = (&sched.metrics, &blocking.metrics);
+    let (a, b) = (&sched.metrics, &expected.metrics);
     assert_eq!(a.points_simulated, b.points_simulated, "{label}");
     assert_eq!(a.points_mapped, b.points_mapped, "{label}");
     assert_eq!(a.points_cached, b.points_cached, "{label}");
@@ -165,7 +190,7 @@ fn sweep_scenarios() -> Vec<(&'static str, String, Reg)> {
 fn scheduled_sweep_matches_blocking_at_every_chunk_size_and_worker_count() {
     for (name, src, reg) in sweep_scenarios() {
         let cfg = config(8);
-        let reference = run_blocking_sweep(&src, reg, cfg);
+        let reference = run_reference_sweep(&src, reg, cfg);
         // chunk sizes: one point, the default, the whole sweep in one
         // chunk; workers: sequential vs heavily parallel.
         for (workers, chunk) in [
@@ -191,7 +216,7 @@ fn scheduled_sweep_matches_blocking_at_every_chunk_size_and_worker_count() {
 fn scheduled_coarse_figure2_sweep_matches_blocking() {
     let src = figure2_coarse_sql(0.05);
     let cfg = config(6);
-    let reference = run_blocking_sweep(&src, Reg::Demo, cfg);
+    let reference = run_reference_sweep(&src, Reg::Demo, cfg);
     let prophet = service("figure2-coarse", &src, Reg::Demo, cfg, 8, 8);
     let scheduled = run_scheduled_sweep(&prophet, "figure2-coarse", Priority::Normal);
     assert_sweeps_identical("figure2-coarse", &scheduled, &reference);
@@ -224,8 +249,13 @@ fn scheduled_point_batches_are_bit_identical_across_all_bundled_scenarios() {
             .collect();
         let cfg = config(8);
 
-        let engine = Engine::new(&scenario, reg.build(), cfg).unwrap();
-        let reference = engine.evaluate_batch(&points).unwrap();
+        let reference = reference_service(name, &src, reg, cfg)
+            .submit(JobSpec::points(name, points.clone()))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_points()
+            .unwrap();
 
         for (workers, chunk) in [(1, 1), (8, 1), (8, 16), (1, usize::MAX)] {
             let prophet = service(name, &src, reg, cfg, workers, chunk);
@@ -260,9 +290,10 @@ fn refresh_job_matches_blocking_session_refresh() {
     let src = figure2_coarse_sql(0.05);
     let cfg = config(8);
 
-    // Blocking reference: a session over a private engine (no scheduler).
-    let engine = Engine::new(&Scenario::parse(&src).unwrap(), Reg::Demo.build(), cfg).unwrap();
-    let mut reference = OnlineSession::open(engine).unwrap();
+    // Reference: a session on the reference pool.
+    let mut reference = reference_service("s", &src, Reg::Demo, cfg)
+        .online("s")
+        .unwrap();
     let ref_report = reference.refresh().unwrap();
 
     // Scheduled: the equivalent Refresh job at the same (default) sliders.
@@ -298,11 +329,89 @@ fn refresh_job_matches_blocking_session_refresh() {
     }
 }
 
+/// Every `(group, full point)` pair of `src`'s OPTIMIZE sweep in canonical
+/// order: groups row-major over the selected parameters, each expanded
+/// over the remaining (axis) parameters.
+fn canonical_sweep_order(src: &str) -> Vec<(ParamPoint, ParamPoint)> {
+    let scenario = Scenario::parse(src).unwrap();
+    let script = scenario.script();
+    let spec = script.optimize.as_ref().unwrap();
+    let (group_decls, axis_decls): (Vec<_>, Vec<_>) = script
+        .params
+        .iter()
+        .cloned()
+        .partition(|p| spec.select_params.contains(&p.name));
+    let mut order = Vec::new();
+    let mut groups = GridGuide::new(&group_decls);
+    while let Some(group) = groups.next_point() {
+        let mut axis = GridGuide::new(&axis_decls);
+        while let Some(axis_point) = axis.next_point() {
+            let mut full = group.clone();
+            for (name, value) in axis_point.iter() {
+                full.set(name.to_owned(), value);
+            }
+            order.push((group.clone(), full));
+        }
+    }
+    order
+}
+
+#[test]
+fn run_with_observer_on_a_service_optimizer_runs_on_the_service_pool() {
+    let src = PRICING_WHATIF;
+    let cfg = config(8);
+    let prophet = service("pricing", src, Reg::Full, cfg, 2, 8);
+    let mut observed = Vec::new();
+    let report = prophet
+        .offline("pricing")
+        .unwrap()
+        .run_with_observer(|group, full, outcome| {
+            observed.push((group.clone(), full.clone(), outcome.clone()));
+        })
+        .unwrap();
+
+    // The sweep ran as a job on the service's pool, in its recorder (the
+    // `JobFinish` marker lands just after the final answer is sent).
+    prophet.scheduler().wait_idle();
+    let events = prophet.trace_events();
+    for kind in [TraceEventKind::JobSubmit, TraceEventKind::JobFinish] {
+        assert!(
+            events.iter().any(|e| e.kind == kind),
+            "no {kind:?} event: the sweep bypassed the service pool"
+        );
+    }
+    assert!(prophet.telemetry().trace.chunk_service.count() > 0);
+
+    // Every grid point exactly once, in canonical order.
+    let expected_order = canonical_sweep_order(src);
+    let observed_order: Vec<(ParamPoint, ParamPoint)> = observed
+        .iter()
+        .map(|(group, full, _)| (group.clone(), full.clone()))
+        .collect();
+    assert_eq!(observed_order, expected_order);
+
+    // Same outcomes and report as the reference run, and as `run()`.
+    let outcomes: HashMap<ParamPoint, EvalOutcome> = observed
+        .into_iter()
+        .map(|(_, full, outcome)| (full, outcome))
+        .collect();
+    assert_eq!(outcomes.len(), expected_order.len());
+    let observed_sweep = (report, outcomes);
+    let reference = run_reference_sweep(src, Reg::Full, cfg);
+    assert_sweeps_identical("run_with_observer", &observed_sweep, &reference);
+    let run = service("pricing", src, Reg::Full, cfg, 2, 8)
+        .offline("pricing")
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_sweeps_identical("run", &(run, observed_sweep.1.clone()), &observed_sweep);
+}
+
 #[test]
 fn concurrent_jobs_at_different_priorities_are_bit_identical() {
     let src = PRICING_WHATIF;
     let cfg = config(8);
-    let reference = run_blocking_sweep(src, Reg::Full, cfg);
+    let reference = run_reference_sweep(src, Reg::Full, cfg);
 
     // Two slots of the same scenario → two independent stores, evaluated
     // concurrently at different priorities on one pool.
@@ -464,8 +573,8 @@ fn cancel_drops_unstarted_chunks_and_resubmit_reuses_published_bases() {
     assert!(published > 0, "in-flight chunks finished and published");
 
     // Resubmit: the published bases are reused, and the answer matches the
-    // blocking reference exactly.
-    let reference = run_blocking_sweep(&src, Reg::Demo, cfg);
+    // reference exactly.
+    let reference = run_reference_sweep(&src, Reg::Demo, cfg);
     let resubmitted = run_scheduled_sweep(&prophet, "sweep", Priority::Normal);
     assert!(
         resubmitted.0.metrics.points_cached > 0,
@@ -506,9 +615,9 @@ fn cancel_races_store_clear_without_corruption() {
             other => panic!("round {round}: job must terminate cleanly, got {other:?}"),
         }
         prophet.scheduler().wait_idle();
-        // The store stayed consistent: a fresh blocking evaluation works
-        // and the next sweep gives the reference answer.
-        let reference = run_blocking_sweep(&src, Reg::Demo, cfg);
+        // The store stayed consistent: the next sweep gives the reference
+        // answer.
+        let reference = run_reference_sweep(&src, Reg::Demo, cfg);
         let again = run_scheduled_sweep(&prophet, "sweep", Priority::Normal);
         assert_eq!(again.0.best, reference.0.best, "round {round}");
         assert_eq!(again.0.answers, reference.0.answers, "round {round}");

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use fuzzy_prophet::prelude::*;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
-use prophet_mc::SharedBasisStore;
+use prophet_mc::{SampleSet, SharedBasisStore};
 use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
 };
@@ -154,23 +154,49 @@ fn bundled_scenarios() -> Vec<(&'static str, Scenario, VgRegistryKind, Vec<Param
     ]
 }
 
-fn engine_pair(scenario: &Scenario, kind: &VgRegistryKind, threads: usize) -> (Engine, Engine) {
+/// `(indexed, exhaustive)` engine configurations at `threads`.
+fn config_pair(threads: usize) -> (EngineConfig, EngineConfig) {
     let config = EngineConfig {
         worlds_per_point: 40,
         threads,
         ..EngineConfig::default()
     };
-    let indexed = Engine::new(scenario, kind.build(), config).unwrap();
-    let exhaustive = Engine::new(
-        scenario,
-        kind.build(),
+    (
+        config,
         EngineConfig {
             match_index: false,
             ..config
         },
     )
-    .unwrap();
-    (indexed, exhaustive)
+}
+
+fn engine_pair(scenario: &Scenario, kind: &VgRegistryKind, threads: usize) -> (Engine, Engine) {
+    let (indexed, exhaustive) = config_pair(threads);
+    (
+        Engine::new(scenario, kind.build(), indexed).unwrap(),
+        Engine::new(scenario, kind.build(), exhaustive).unwrap(),
+    )
+}
+
+/// Evaluate `points` as one batch job on a fresh service.
+fn evaluate_batch(
+    scenario: &Scenario,
+    kind: &VgRegistryKind,
+    config: EngineConfig,
+    points: &[ParamPoint],
+) -> Vec<(SampleSet, EvalOutcome)> {
+    Prophet::builder()
+        .scenario("s", scenario.clone())
+        .registry(kind.build())
+        .config(config)
+        .build()
+        .unwrap()
+        .submit(JobSpec::points("s", points.to_vec()))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_points()
+        .unwrap()
 }
 
 /// Every bundled scenario, swept point-by-point: identical outcomes
@@ -211,16 +237,16 @@ fn all_bundled_scenarios_are_bit_identical_with_and_without_index() {
 fn batched_sweeps_are_bit_identical_with_and_without_index() {
     for (name, scenario, kind, points) in bundled_scenarios() {
         for threads in [1, 4] {
-            let (indexed, exhaustive) = engine_pair(&scenario, &kind, threads);
-            let ri = indexed.evaluate_batch(&points).unwrap();
-            let re = exhaustive.evaluate_batch(&points).unwrap();
+            let (indexed, exhaustive) = config_pair(threads);
+            let ri = evaluate_batch(&scenario, &kind, indexed, &points);
+            let re = evaluate_batch(&scenario, &kind, exhaustive, &points);
             assert_eq!(ri.len(), re.len());
             for (i, ((si, oi), (se, oe))) in ri.iter().zip(&re).enumerate() {
                 assert_eq!(oi, oe, "[{name}] threads={threads} point #{i}");
-                for col in indexed.output_columns() {
+                for col in scenario.script().select.items.iter().map(|it| &it.alias) {
                     assert_eq!(
-                        si.samples(&col),
-                        se.samples(&col),
+                        si.samples(col),
+                        se.samples(col),
                         "[{name}] threads={threads} point #{i} column {col}"
                     );
                 }

@@ -19,8 +19,8 @@
 //!   not multiples of the SIMD lane width — asserting bit-identical
 //!   outputs and VG invocation accounting across both tiers;
 //! * thread-count independence of the columnar tier (samples and work
-//!   counters equal under `threads: 1` and `threads: 8`, both equal to a
-//!   single-threaded scalar engine).
+//!   counters of one batch job equal under `threads: 1` and `threads: 8`,
+//!   both equal to the scalar tier at `threads: 1` on a one-worker pool).
 
 use std::collections::HashMap;
 
@@ -294,19 +294,6 @@ impl Default for FingerprintLen {
 #[test]
 fn block_tiers_are_thread_count_independent() {
     let scenario = Scenario::figure2().unwrap();
-    let make = |tier: ExecTier, threads: usize| {
-        Engine::new(
-            &scenario,
-            demo_registry(),
-            EngineConfig {
-                worlds_per_point: 64,
-                threads,
-                tier,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap()
-    };
     let points: Vec<ParamPoint> = (0..6)
         .map(|i| {
             ParamPoint::from_pairs([
@@ -317,29 +304,59 @@ fn block_tiers_are_thread_count_independent() {
             ])
         })
         .collect();
-    let reference = make(ExecTier::Scalar, 1);
-    let expected = reference.evaluate_batch(&points).unwrap();
+    // One batch job on a fresh service: results plus the job's counters.
+    let run = |tier: ExecTier, threads: usize, workers: usize| {
+        let handle = Prophet::builder()
+            .scenario("figure2", scenario.clone())
+            .registry(demo_registry())
+            .config(EngineConfig {
+                worlds_per_point: 64,
+                threads,
+                tier,
+                ..EngineConfig::default()
+            })
+            .scheduler(SchedulerConfig {
+                workers,
+                ..SchedulerConfig::default()
+            })
+            .build()
+            .unwrap()
+            .submit(JobSpec::points("figure2", points.clone()))
+            .unwrap();
+        let mut results = Vec::new();
+        for event in handle.events() {
+            if let JobEvent::Final(output) = event {
+                results = output.into_points().unwrap();
+            }
+        }
+        (results, handle.progress().metrics)
+    };
+    let columns: Vec<&String> = scenario
+        .script()
+        .select
+        .items
+        .iter()
+        .map(|it| &it.alias)
+        .collect();
+    let (expected, reference) = run(ExecTier::Scalar, 1, 1);
     for threads in [1usize, 8] {
-        let engine = make(ExecTier::Columnar, threads);
-        let got = engine.evaluate_batch(&points).unwrap();
+        let (got, metrics) = run(ExecTier::Columnar, threads, 0);
         for (i, ((sa, oa), (sb, ob))) in expected.iter().zip(&got).enumerate() {
             assert_eq!(oa, ob, "columnar x{threads} point #{i}");
-            for col in reference.output_columns() {
+            for col in &columns {
                 assert_eq!(
-                    sa.samples(&col),
-                    sb.samples(&col),
+                    sa.samples(col),
+                    sb.samples(col),
                     "columnar x{threads} point #{i} {col}"
                 );
             }
         }
         assert_eq!(
-            engine.metrics().worlds_simulated,
-            reference.metrics().worlds_simulated,
+            metrics.worlds_simulated, reference.worlds_simulated,
             "columnar x{threads}"
         );
         assert_eq!(
-            engine.metrics().probe_evaluations,
-            reference.metrics().probe_evaluations,
+            metrics.probe_evaluations, reference.probe_evaluations,
             "columnar x{threads}"
         );
     }

@@ -38,7 +38,7 @@ fn main() {
             "e4" => experiments::e4_feature_change(worlds),
             "e5" => experiments::e5_exploration_map(worlds.min(150)),
             "e6" => experiments::e6_offline_optimization(worlds.min(150)),
-            "e7" => experiments::e7_fingerprint_speedup(worlds.min(100)),
+            "e7" => experiments::e7_fingerprint_speedup(worlds),
             "e8" => experiments::e8_first_accurate_guess(worlds),
             "e9" => experiments::e9_markov_regions(),
             "e10" => experiments::e10_fingerprint_length_ablation(),

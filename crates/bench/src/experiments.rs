@@ -477,7 +477,7 @@ pub fn run_all(worlds: usize) -> String {
         e4_feature_change(worlds),
         e5_exploration_map(worlds.min(150)),
         e6_offline_optimization(worlds.min(150)),
-        e7_fingerprint_speedup(worlds.min(100)),
+        e7_fingerprint_speedup(worlds),
         e8_first_accurate_guess(worlds),
         e9_markov_regions(),
         e10_fingerprint_length_ablation(),

@@ -10,8 +10,10 @@
 //!    the basis store for a correlated prior point,
 //! 3. on a hit: re-map the stored stochastic samples through the detected
 //!    [`Mapping`] and *recompute the derived columns* (e.g. Figure 2's
-//!    `CASE WHEN capacity < demand…`) per world — derived logic is exact,
-//!    so only the stochastic inputs ever need mapping,
+//!    `CASE WHEN capacity < demand…`) from the mapped samples — derived
+//!    logic is exact, so only the stochastic inputs ever need mapping. On
+//!    the default tier that is one columnar walk over all of the point's
+//!    worlds; the scalar tier re-derives world by world,
 //! 4. on a miss: full Monte Carlo simulation, then insert into the basis
 //!    store so later points can map from this one.
 //!
@@ -38,10 +40,12 @@ use prophet_mc::{
     simulate_point, simulate_point_columnar, ParamPoint, SampleSet, SharedBasisStore,
 };
 use prophet_sql::ast::SelectItem;
-use prophet_sql::columnar::{evaluate_select_columns, to_f64_samples, ColumnarStats};
+use prophet_sql::columnar::{
+    evaluate_derived_columns, evaluate_select_columns, to_f64_samples, Column, ColumnarStats,
+};
 use prophet_sql::error::SqlError;
 use prophet_sql::executor::{evaluate_select_with, EvalContext, WorldRng};
-use prophet_sql::Script;
+use prophet_sql::{NullMask, Script};
 use prophet_vg::rng::{Rng64, SeedSequence};
 use prophet_vg::{SeedManager, VgRegistry};
 
@@ -58,12 +62,14 @@ use crate::sync::{OrderedMutex, ENGINE_METRICS};
 /// `docs/VECTORIZATION.md` for the full two-tier story.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
-    /// One AST walk per world (`evaluate_select_with`). The reference
-    /// oracle the differential suites hold the columnar tier to; also
-    /// what per-world re-mapping uses.
+    /// One AST walk per world (`evaluate_select_with`), for probes,
+    /// simulation and the re-derivation of a mapped point's derived
+    /// columns alike. The reference oracle the differential suites hold
+    /// the columnar tier to.
     Scalar,
     /// One AST walk per world-block over typed `f64`/`i64`/`bool` column
-    /// buffers (`evaluate_select_columns`): straight-line kernels over
+    /// buffers (`evaluate_select_columns`; `evaluate_derived_columns` for
+    /// a mapped point's derived columns): straight-line kernels over
     /// typed slices, with per-node fallback to boxed values for
     /// mixed/string data. Kernel/fallback counts surface as
     /// `EngineMetrics::columnar_kernels` / `column_fallbacks`.
@@ -82,9 +88,10 @@ pub struct EngineConfig {
     pub detector: CorrelationDetector,
     /// Master switch for fingerprint reuse (benches compare on/off).
     pub fingerprints_enabled: bool,
-    /// Execution tier for fingerprint probes and miss-path Monte Carlo
-    /// estimation: per-world scalar walks or block walks over typed
-    /// column buffers.
+    /// Execution tier for fingerprint probes, miss-path Monte Carlo
+    /// estimation and the re-derivation of a mapped point's derived
+    /// columns: per-world scalar walks or block walks over typed column
+    /// buffers.
     ///
     /// Outputs are bit-identical across tiers (the differential suite in
     /// `tests/vector_equivalence.rs` enforces it), so the faster —
@@ -410,9 +417,15 @@ impl Engine {
             .collect::<HashMap<_, _>>())
     }
 
-    /// Map the stochastic columns and recompute the derived ones per world.
-    /// Self-times into `fingerprint_time` (mapping is part of the
-    /// fingerprint phase's per-call work).
+    /// Map the stochastic columns and re-derive the deterministic ones
+    /// from the mapped samples. Self-times into `fingerprint_time`
+    /// (mapping is part of the fingerprint phase's per-call work).
+    ///
+    /// With the default [`ExecTier::Columnar`] the derived items are one
+    /// block walk over all `worlds` lanes (`evaluate_derived_columns`),
+    /// whose typed-kernel vs boxed fallback node counts add to the
+    /// columnar counters; [`ExecTier::Scalar`] re-derives them world by
+    /// world, the reference oracle. Both are bit-identical per world.
     pub(crate) fn remap_samples(
         &self,
         point: &ParamPoint,
@@ -433,7 +446,58 @@ impl Engine {
                 .ok_or_else(|| ProphetError::Internal(format!("no mapping for column `{col}`")))?;
             out.insert(col.clone(), mapping.apply_samples(src));
         }
-        // Derived columns: recompute from mapped inputs, world by world.
+        let mut stats = ColumnarStats::default();
+        if self.stochastic_cols.len() < self.script.select.items.len() {
+            let params = point.to_value_map();
+            match self.config.tier {
+                ExecTier::Columnar => stats = self.derive_block(&params, &mut out, worlds)?,
+                ExecTier::Scalar => self.derive_per_world(&params, &mut out, worlds)?,
+            }
+        }
+        self.bump(|m| {
+            m.columnar_kernels += stats.kernels;
+            m.column_fallbacks += stats.fallbacks;
+            m.fingerprint_time += start.elapsed();
+        });
+        Ok(out)
+    }
+
+    /// Re-derive the derived columns in one columnar walk over all
+    /// `worlds` lanes, with the mapped stochastic columns bound as valid
+    /// `f64` lanes (a NaN sample stays a NaN lane, never NULL, as the
+    /// scalar path's `Value::Float(NaN)`). The walk runs against an empty
+    /// VG catalog, so it cannot draw randomness.
+    fn derive_block(
+        &self,
+        params: &HashMap<String, Value>,
+        out: &mut HashMap<String, Vec<f64>>,
+        worlds: usize,
+    ) -> ProphetResult<ColumnarStats> {
+        let bound = self
+            .stochastic_cols
+            .iter()
+            .map(|col| {
+                let data = out[col].clone();
+                let nulls = NullMask::none(data.len());
+                (col.clone(), Column::F64 { data, nulls })
+            })
+            .collect();
+        let (derived, stats) =
+            evaluate_derived_columns(&self.script.select, params, bound, worlds)?;
+        for (alias, column) in derived {
+            out.insert(alias, to_f64_samples(&column)?);
+        }
+        Ok(stats)
+    }
+
+    /// Re-derive the derived columns world by world on the scalar tier —
+    /// the reference oracle for [`Engine::derive_block`].
+    fn derive_per_world(
+        &self,
+        params: &HashMap<String, Value>,
+        out: &mut HashMap<String, Vec<f64>>,
+        worlds: usize,
+    ) -> ProphetResult<()> {
         let derived: Vec<&SelectItem> = self
             .script
             .select
@@ -441,36 +505,32 @@ impl Engine {
             .iter()
             .filter(|i| !self.stochastic_cols.contains(&i.alias))
             .collect();
-        if !derived.is_empty() {
-            let params = point.to_value_map();
-            for item in &derived {
-                out.insert(item.alias.clone(), Vec::with_capacity(worlds));
-            }
-            for w in 0..worlds {
-                let mut rng = NoRandomness;
-                let mut ctx = EvalContext::new(&self.registry, &params, &mut rng);
-                // Bind aliases in select order so derived items see both
-                // stochastic and earlier derived columns.
-                for item in &self.script.select.items {
-                    if self.stochastic_cols.contains(&item.alias) {
-                        let v = out[&item.alias][w];
-                        ctx.bind_alias(&item.alias, Value::Float(v));
-                    } else {
-                        let v = prophet_sql::executor::eval_expr(&item.expr, &mut ctx)?;
-                        let x = match &v {
-                            Value::Null => f64::NAN,
-                            v => v.as_f64().map_err(SqlError::from)?,
-                        };
-                        ctx.bind_alias(&item.alias, v);
-                        out.get_mut(&item.alias)
-                            .expect("invariant: derived columns are pre-inserted above")
-                            .push(x);
-                    }
+        for item in &derived {
+            out.insert(item.alias.clone(), Vec::with_capacity(worlds));
+        }
+        for w in 0..worlds {
+            let mut rng = NoRandomness;
+            let mut ctx = EvalContext::new(&self.registry, params, &mut rng);
+            // Bind aliases in select order so derived items see both
+            // stochastic and earlier derived columns.
+            for item in &self.script.select.items {
+                if self.stochastic_cols.contains(&item.alias) {
+                    let v = out[&item.alias][w];
+                    ctx.bind_alias(&item.alias, Value::Float(v));
+                } else {
+                    let v = prophet_sql::executor::eval_expr(&item.expr, &mut ctx)?;
+                    let x = match &v {
+                        Value::Null => f64::NAN,
+                        v => v.as_f64().map_err(SqlError::from)?,
+                    };
+                    ctx.bind_alias(&item.alias, v);
+                    out.get_mut(&item.alias)
+                        .expect("invariant: derived columns are pre-inserted above")
+                        .push(x);
                 }
             }
         }
-        self.bump(|m| m.fingerprint_time += start.elapsed());
-        Ok(out)
+        Ok(())
     }
 
     /// Full Monte Carlo simulation of one point.
@@ -615,9 +675,9 @@ impl Engine {
     pub(crate) fn to_sample_set(
         &self,
         point: &ParamPoint,
-        samples: &HashMap<String, Vec<f64>>,
+        samples: HashMap<String, Vec<f64>>,
     ) -> SampleSet {
-        SampleSet::from_samples(point.clone(), self.output_columns(), samples.clone())
+        SampleSet::from_samples(point.clone(), self.output_columns(), samples)
     }
 }
 
@@ -811,6 +871,113 @@ mod tests {
         assert!(mc.columnar_kernels > 0, "columnar tier counts kernels");
         assert_eq!(mc.column_fallbacks, 0, "figure-2 is fully typed");
         assert_eq!(ms.columnar_kernels, 0);
+    }
+
+    /// Figure 2 with a chain of derived items: one reads an earlier derived
+    /// item, one uses `@params`, one is integer arithmetic, and one is a
+    /// `CASE` with no `ELSE` (NULL → NaN where no arm matches). `huge` tells
+    /// a NaN sample from NULL: `NOT (NaN < x)` is true, `NOT NULL` is NULL.
+    const CHAINED_DERIVED_SQL: &str = "\
+DECLARE PARAMETER @current AS RANGE 0 TO 52 STEP BY 2;
+DECLARE PARAMETER @purchase1 AS RANGE 0 TO 52 STEP BY 8;
+DECLARE PARAMETER @purchase2 AS RANGE 0 TO 52 STEP BY 8;
+DECLARE PARAMETER @feature AS SET (12,36,44);
+SELECT DemandModel(@current, @feature) AS demand,
+       CASE WHEN NOT (demand < 1e300) THEN 2 ELSE 0 END AS huge,
+       CapacityModel(@current, @purchase1, @purchase2) AS capacity,
+       CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload,
+       (overload + huge) * 3 - @purchase1 % 5 AS weighted,
+       (demand - capacity) / @current AS per_week,
+       CASE WHEN capacity >= demand THEN capacity - demand END AS headroom
+INTO results;";
+
+    /// The block remap walk equals the per-world scalar oracle lane for
+    /// lane (by bit pattern), on source samples carrying NaN, ±∞, −0.0
+    /// and ±1e308, under every mapping kind the detector produces.
+    #[test]
+    fn block_remap_is_bit_identical_to_scalar_remap() {
+        let scenario = Scenario::parse(CHAINED_DERIVED_SQL).unwrap();
+        let [columnar, scalar] = [ExecTier::Columnar, ExecTier::Scalar].map(|tier| {
+            Engine::new(
+                &scenario,
+                demo_registry(),
+                EngineConfig {
+                    tier,
+                    ..small_config()
+                },
+            )
+            .unwrap()
+        });
+        assert_eq!(columnar.stochastic_columns(), ["demand", "capacity"]);
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e308,
+            -1e308,
+            2.5,
+            -7.25,
+            8_000.0,
+            1e-300,
+        ];
+        let demand: Vec<f64> = edges.to_vec();
+        let capacity: Vec<f64> = edges.iter().rev().copied().collect();
+        let source = HashMap::from([
+            ("demand".to_string(), demand),
+            ("capacity".to_string(), capacity),
+        ]);
+        let affine = Mapping::Affine {
+            scale: -1.5,
+            offset: 3.0,
+            residual_std: 0.0,
+        };
+        let mapping_kinds = [
+            Mapping::Identity,
+            Mapping::Offset(-0.0),
+            Mapping::Offset(1e308),
+            affine.clone(),
+            Mapping::Compose(Box::new(Mapping::Offset(2.0)), Box::new(affine)),
+        ];
+        // @current = 0 makes `per_week` divide by zero (NULL → NaN).
+        for point in [demo_point(0, 16, 36, 12), demo_point(10, 3, 36, 44)] {
+            for demand_map in &mapping_kinds {
+                for capacity_map in &mapping_kinds {
+                    let mappings = HashMap::from([
+                        ("demand".to_string(), demand_map.clone()),
+                        ("capacity".to_string(), capacity_map.clone()),
+                    ]);
+                    let got = columnar
+                        .remap_samples(&point, &source, &mappings, edges.len())
+                        .unwrap();
+                    let want = scalar
+                        .remap_samples(&point, &source, &mappings, edges.len())
+                        .unwrap();
+                    for col in scalar.output_columns() {
+                        let (g, w) = (&got[&col], &want[&col]);
+                        assert_eq!(g.len(), edges.len(), "{col}");
+                        for (lane, (a, b)) in g.iter().zip(w).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{col}[{lane}] at {point} under {demand_map:?}/{capacity_map:?}"
+                            );
+                        }
+                    }
+                    let headroom = &want["headroom"];
+                    assert!(headroom.iter().any(|x| x.is_nan()), "no-ELSE CASE is NULL");
+                }
+            }
+        }
+        let (mc, ms) = (columnar.metrics(), scalar.metrics());
+        assert!(
+            mc.columnar_kernels > 0,
+            "the block remap counts its kernels"
+        );
+        assert_eq!(mc.column_fallbacks, 0, "the chained items stay typed");
+        assert_eq!(mc.vector_walks, 0, "remap walks are not probe walks");
+        assert_eq!(ms.columnar_kernels, 0, "the scalar remap never block-walks");
     }
 
     #[test]

@@ -67,7 +67,10 @@ impl Engine {
                             m.points_cached += 1;
                             m.inflight_waits += 1;
                         });
-                        return Ok((self.to_sample_set(point, &samples), EvalOutcome::Cached));
+                        return Ok((
+                            self.to_sample_set(point, (*samples).clone()),
+                            EvalOutcome::Cached,
+                        ));
                     }
                     // Under-provisioned publish: fall through and re-claim,
                     // exactly as the Ready path's min-worlds filter would.
@@ -79,7 +82,10 @@ impl Engine {
             {
                 TryClaim::Ready { samples, .. } => {
                     self.bump(|m| m.points_cached += 1);
-                    return Ok((self.to_sample_set(point, &samples), EvalOutcome::Cached));
+                    return Ok((
+                        self.to_sample_set(point, (*samples).clone()),
+                        EvalOutcome::Cached,
+                    ));
                 }
                 TryClaim::Pending(h) => pending = Some(h),
                 TryClaim::Owner(guard) => return self.run_owner(point, guard),
@@ -137,7 +143,7 @@ impl Engine {
                     m.probe_nanos += phase.elapsed_nanos();
                 });
                 return Ok((
-                    self.to_sample_set(point, &mapped),
+                    self.to_sample_set(point, mapped),
                     EvalOutcome::Mapped {
                         from: hit.source,
                         exact,
@@ -158,7 +164,7 @@ impl Engine {
             m.points_simulated += 1;
             m.sim_nanos += phase.elapsed_nanos();
         });
-        Ok((self.to_sample_set(point, &samples), EvalOutcome::Simulated))
+        Ok((self.to_sample_set(point, samples), EvalOutcome::Simulated))
     }
 }
 

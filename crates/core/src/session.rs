@@ -419,9 +419,13 @@ impl OnlineSession {
             let (point_probes, hit) = engine.probe_and_match_one(&point)?;
             probes = point_probes;
             if let Some(hit) = hit {
-                let mapped =
-                    engine.remap_samples(&point, &hit.samples, &hit.mappings, hit.worlds)?;
-                guard.complete(probes, Arc::new(mapped.clone()), hit.worlds, false);
+                let mapped = Arc::new(engine.remap_samples(
+                    &point,
+                    &hit.samples,
+                    &hit.mappings,
+                    hit.worlds,
+                )?);
+                guard.complete(probes, Arc::clone(&mapped), hit.worlds, false);
                 engine.bump(|m| {
                     m.points_mapped += 1;
                     m.probe_nanos += phase.elapsed_nanos();

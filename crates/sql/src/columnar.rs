@@ -15,6 +15,16 @@
 //! counts how often), then re-sniffs back to a typed buffer so one odd
 //! node does not unbox the rest of the walk.
 //!
+//! Two entry points share one select-item loop:
+//!
+//! * [`evaluate_select_columns`] walks the whole SELECT for a block of
+//!   worlds — fingerprint probes and Monte Carlo simulation;
+//! * [`evaluate_derived_columns`] is the remap walk: a mapped point's
+//!   stochastic columns come in pre-bound, and only the deterministic
+//!   items (Figure 2's `CASE WHEN capacity < demand …`) are re-derived,
+//!   in one walk over all of the point's worlds, against an empty VG
+//!   catalog so the walk cannot draw randomness.
+//!
 //! ## Bit-identity contract
 //!
 //! This tier is *defined* by bit-identity with the scalar walker: for
@@ -297,14 +307,75 @@ pub fn evaluate_select_columns(
         aliases: HashMap::new(),
         stats: ColumnarStats::default(),
     };
-    let everything: Vec<usize> = (0..worlds.len()).collect();
-    let mut out = Vec::with_capacity(select.items.len());
+    let out = eval_select_items(select, &mut ctx, worlds.len(), Vec::new())?;
+    Ok((out, ctx.stats))
+}
+
+/// Re-derive the deterministic select items of a block whose stochastic
+/// items are already known — the remap walk of the fingerprint cycle.
+///
+/// `bound` holds one block-length column per pre-bound alias (the mapped
+/// stochastic samples, bound as [`Column::F64`] with an all-valid mask so a
+/// NaN sample stays a valid NaN lane). Items whose alias is bound are not
+/// evaluated: each binding becomes visible at its item's declaration
+/// position, exactly as if the item had produced it. Every other item is
+/// evaluated in declaration order over `lanes` lanes, and only those are
+/// returned, `(alias, column)` in declaration order.
+///
+/// The walk cannot draw randomness: items are evaluated against an empty
+/// VG catalog, so a VG call in an unbound item resolves as an (unknown)
+/// scalar builtin and fails with a typed error instead of sampling.
+pub fn evaluate_derived_columns(
+    select: &SelectInto,
+    params: &HashMap<String, Value>,
+    bound: Vec<(String, Column)>,
+    lanes: usize,
+) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
+    if let Some((alias, column)) = bound.iter().find(|(_, column)| column.len() != lanes) {
+        return Err(SqlError::Eval(format!(
+            "bound column `{alias}` has {} lanes, expected {lanes}",
+            column.len()
+        )));
+    }
+    let no_vg = VgRegistry::new();
+    let mut ctx = ColumnContext {
+        registry: &no_vg,
+        params,
+        // Never consulted: with no catalog entries no call site reaches
+        // the VG path that derives substreams from seeds and world ids.
+        seeds: SeedManager::new(0),
+        worlds: &[],
+        counters: Vec::new(),
+        aliases: HashMap::new(),
+        stats: ColumnarStats::default(),
+    };
+    let out = eval_select_items(select, &mut ctx, lanes, bound)?;
+    Ok((out, ctx.stats))
+}
+
+/// The block tier's one select-item loop: walk the items in declaration
+/// order, binding each item's alias for the items after it. An item whose
+/// alias appears in `bound` takes that column instead of being evaluated
+/// and is left out of the returned list.
+fn eval_select_items(
+    select: &SelectInto,
+    ctx: &mut ColumnContext<'_>,
+    lanes: usize,
+    mut bound: Vec<(String, Column)>,
+) -> SqlResult<Vec<(String, Column)>> {
+    let everything: Vec<usize> = (0..lanes).collect();
+    let mut out = Vec::with_capacity(select.items.len().saturating_sub(bound.len()));
     for item in &select.items {
-        let column = eval_col(&item.expr, &mut ctx, &everything)?;
+        if let Some(pos) = bound.iter().position(|(alias, _)| *alias == item.alias) {
+            let (alias, column) = bound.swap_remove(pos);
+            ctx.aliases.insert(alias, column);
+            continue;
+        }
+        let column = eval_col(&item.expr, ctx, &everything)?;
         ctx.aliases.insert(item.alias.clone(), column.clone());
         out.push((item.alias.clone(), column));
     }
-    Ok((out, ctx.stats))
+    Ok(out)
 }
 
 /// Convert one typed column to the `f64` sample representation of the
@@ -1196,6 +1267,144 @@ mod tests {
         let stats = registry.stats("Jitter").unwrap();
         assert_eq!(stats.invocations, 32, "two call sites × 16 worlds");
         assert_eq!(stats.batched_calls, 2, "one physical call per site");
+    }
+
+    /// A mapped block: `a` comes in bound, `b` and `c` are derived from it.
+    const DERIVED_SRC: &str = "DECLARE PARAMETER @k AS SET (3);\n\
+         SELECT Jitter(0) AS a,\n\
+                a * @k AS b,\n\
+                CASE WHEN b > 1 THEN b - 1 END AS c\n\
+         INTO r;";
+
+    fn f64_column(data: Vec<f64>) -> Column {
+        let nulls = NullMask::none(data.len());
+        Column::F64 { data, nulls }
+    }
+
+    #[test]
+    fn bound_column_passes_through_and_later_items_see_it() {
+        let script = parse_script(DERIVED_SRC).unwrap();
+        let params = HashMap::from([("k".to_string(), Value::Int(3))]);
+        let a = vec![0.25, f64::NAN, -0.0, 1e308, f64::INFINITY];
+        let (out, stats) = evaluate_derived_columns(
+            &script.select,
+            &params,
+            vec![("a".into(), f64_column(a.clone()))],
+            a.len(),
+        )
+        .unwrap();
+        let aliases: Vec<&str> = out.iter().map(|(alias, _)| alias.as_str()).collect();
+        assert_eq!(aliases, ["b", "c"], "bound items are not re-evaluated");
+        for (lane, &x) in a.iter().enumerate() {
+            // A NaN sample is a valid lane, never NULL.
+            let b = x * 3.0;
+            assert!(
+                bit_eq(&out[0].1.value_at(lane), &Value::Float(b)),
+                "b[{lane}]"
+            );
+            let c = if b > 1.0 {
+                Value::Float(b - 1.0)
+            } else {
+                Value::Null
+            };
+            assert!(bit_eq(&out[1].1.value_at(lane), &c), "c[{lane}]");
+        }
+        assert!(stats.kernels > 0);
+        assert_eq!(stats.fallbacks, 0, "an f64 binding stays typed");
+    }
+
+    #[test]
+    fn bound_alias_draws_no_vg_invocation() {
+        let script =
+            parse_script("SELECT Jitter(0) AS a, Jitter(1) AS b, a + b AS c INTO r;").unwrap();
+        let registry = registry();
+        let worlds: Vec<u64> = (0..8).collect();
+        let mut ctx = ColumnContext {
+            registry: &registry,
+            params: &HashMap::new(),
+            seeds: SeedManager::new(0),
+            worlds: &worlds,
+            counters: vec![0; worlds.len()],
+            aliases: HashMap::new(),
+            stats: ColumnarStats::default(),
+        };
+        let a = vec![10.0; worlds.len()];
+        let out = eval_select_items(
+            &script.select,
+            &mut ctx,
+            worlds.len(),
+            vec![("a".into(), f64_column(a))],
+        )
+        .unwrap();
+        assert_eq!(
+            registry.stats("Jitter").unwrap().invocations,
+            worlds.len() as u64,
+            "only the unbound call site `b` samples"
+        );
+        let b = to_f64_samples(&out[0].1).unwrap();
+        let c = to_f64_samples(&out[1].1).unwrap();
+        for lane in 0..worlds.len() {
+            assert_eq!(c[lane].to_bits(), (10.0 + b[lane]).to_bits());
+        }
+
+        // The public remap walk has no catalog at all: an unbound VG call
+        // is an error, not a draw.
+        let err = evaluate_derived_columns(&script.select, &HashMap::new(), Vec::new(), 2)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("Jitter"), "{err}");
+        assert_eq!(
+            registry.stats("Jitter").unwrap().invocations,
+            worlds.len() as u64
+        );
+    }
+
+    #[test]
+    fn empty_binding_equals_evaluate_select_columns() {
+        let src = "DECLARE PARAMETER @k AS SET (3);\n\
+             SELECT @k * 2 AS a,\n\
+                    a / 4 AS b,\n\
+                    CASE WHEN a > 5 THEN a % 4 END AS c,\n\
+                    ABS(b - 7) AS d\n\
+             INTO r;";
+        let script = parse_script(src).unwrap();
+        let params = HashMap::from([("k".to_string(), Value::Int(3))]);
+        let worlds: Vec<u64> = (0..5).collect();
+        let (want, want_stats) = evaluate_select_columns(
+            &script.select,
+            &registry(),
+            &params,
+            SeedManager::new(0),
+            &worlds,
+        )
+        .unwrap();
+        let (got, got_stats) =
+            evaluate_derived_columns(&script.select, &params, Vec::new(), worlds.len()).unwrap();
+        assert_eq!(got.len(), want.len());
+        for ((ga, gc), (wa, wc)) in got.iter().zip(&want) {
+            assert_eq!(ga, wa);
+            for lane in 0..worlds.len() {
+                assert!(
+                    bit_eq(&gc.value_at(lane), &wc.value_at(lane)),
+                    "{ga}[{lane}]"
+                );
+            }
+        }
+        assert_eq!(got_stats, want_stats);
+    }
+
+    #[test]
+    fn bound_column_of_the_wrong_length_is_an_error() {
+        let script = parse_script(DERIVED_SRC).unwrap();
+        let params = HashMap::from([("k".to_string(), Value::Int(3))]);
+        let err = evaluate_derived_columns(
+            &script.select,
+            &params,
+            vec![("a".into(), f64_column(vec![1.0, 2.0]))],
+            3,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("2 lanes, expected 3"), "{err}");
     }
 
     #[test]

@@ -57,8 +57,11 @@
 //!   batched through [`prophet_vg::VgRegistry::invoke_batch_columnar`]; a
 //!   length-`L` fingerprint probe costs one walk instead of `L`, and VG
 //!   models with a raw `f64` batch lane fill columns without boxing a
-//!   single value. Fingerprint probes and Monte Carlo estimation default
-//!   to this tier.
+//!   single value. Fingerprint probes, Monte Carlo estimation and the
+//!   remap step — re-deriving a mapped point's deterministic columns from
+//!   its mapped stochastic samples, one walk over all of the point's
+//!   worlds ([`columnar::evaluate_derived_columns`]) — default to this
+//!   tier.
 //!
 //! The columnar tier is *defined* by bit-identity with the scalar tier —
 //! per world, same outputs, same VG seed derivation, same error classes —
@@ -85,7 +88,9 @@ pub use ast::{
     SeriesSpec,
 };
 pub use column::NullMask;
-pub use columnar::{evaluate_select_columns, to_f64_samples, Column, ColumnarStats};
+pub use columnar::{
+    evaluate_derived_columns, evaluate_select_columns, to_f64_samples, Column, ColumnarStats,
+};
 pub use error::{SqlError, SqlResult};
 pub use executor::{evaluate_select, EvalContext};
 pub use parser::parse_script;

@@ -17,7 +17,10 @@
 //!   literals, conditional VG calls inside CASE arms, three-valued
 //!   AND/OR/NOT, CASE masks with and without ELSE, block sizes that are
 //!   not multiples of the SIMD lane width — asserting bit-identical
-//!   outputs and VG invocation accounting across both tiers;
+//!   outputs and VG invocation accounting across both tiers; each round
+//!   also feeds the remap walk random derived items over a pre-bound
+//!   stochastic column of edge values (NaN, ±∞, −0.0, ±1e308), held to the
+//!   per-world scalar re-derivation;
 //! * thread-count independence of the columnar tier (samples and work
 //!   counters of one batch job equal under `threads: 1` and `threads: 8`,
 //!   both equal to the scalar tier at `threads: 1` on a one-worker pool).
@@ -30,9 +33,10 @@ use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
 };
 use prophet_models::{demo_registry, full_registry};
-use prophet_sql::columnar::evaluate_select_columns;
-use prophet_sql::executor::{evaluate_select_with, WorldRng};
+use prophet_sql::columnar::{evaluate_derived_columns, evaluate_select_columns, Column};
+use prophet_sql::executor::{eval_expr, evaluate_select_with, EvalContext, WorldRng};
 use prophet_sql::parser::parse_script;
+use prophet_sql::NullMask;
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::SeedManager;
 
@@ -99,6 +103,16 @@ fn bundled_scenarios() -> Vec<(&'static str, Scenario, VgRegistryKind, Vec<Param
                     ("reorder_point", 240),
                     ("reorder_qty", 300),
                 ]),
+                ParamPoint::from_pairs([
+                    ("week", 12i64),
+                    ("reorder_point", 200),
+                    ("reorder_qty", 400),
+                ]),
+                ParamPoint::from_pairs([
+                    ("week", 12i64),
+                    ("reorder_point", 360),
+                    ("reorder_qty", 400),
+                ]),
             ],
         ),
         (
@@ -117,6 +131,8 @@ fn bundled_scenarios() -> Vec<(&'static str, Scenario, VgRegistryKind, Vec<Param
             vec![
                 ParamPoint::from_pairs([("week", 24i64), ("agents", 10)]),
                 ParamPoint::from_pairs([("week", 24i64), ("agents", 11)]),
+                ParamPoint::from_pairs([("week", 0i64), ("agents", 10)]),
+                ParamPoint::from_pairs([("week", 0i64), ("agents", 16)]),
             ],
         ),
     ]
@@ -152,12 +168,18 @@ const TIERS: [ExecTier; 2] = [ExecTier::Columnar, ExecTier::Scalar];
 /// Every bundled scenario: same outcomes, bit-identical samples, and the
 /// same store contents (the stored fingerprints drove identical matching)
 /// across the columnar and scalar tiers — and the columnar tier
-/// stays fully typed (`column_fallbacks == 0`) on all five.
+/// stays fully typed (`column_fallbacks == 0`) on all five. Each scenario
+/// maps at least one point, so the remap walk that re-derives a mapped
+/// point's derived columns is held to the scalar remap here too.
 #[test]
 fn all_bundled_scenarios_are_bit_identical_across_tiers() {
     for (name, scenario, kind, points) in bundled_scenarios() {
         let [columnar, scalar] = engine_pair(&scenario, &kind);
         let columns = columnar.output_columns();
+        assert!(
+            columns.len() > columnar.stochastic_columns().len(),
+            "[{name}] has a derived column to re-derive"
+        );
         for point in &points {
             let (sc, oc) = columnar.evaluate(point).unwrap();
             let (ss, os) = scalar.evaluate(point).unwrap();
@@ -178,6 +200,7 @@ fn all_bundled_scenarios_are_bit_identical_across_tiers() {
         );
         assert_eq!(mc.points_simulated, ms.points_simulated, "[{name}]");
         assert_eq!(mc.worlds_simulated, ms.worlds_simulated, "[{name}]");
+        assert!(mc.points_mapped > 0, "[{name}] exercises the remap step");
         assert!(
             mc.vector_walks > 0 && ms.vector_walks == 0,
             "[{name}] only the columnar tier block-walks"
@@ -410,10 +433,12 @@ fn vg_invocation_accounting_is_tier_independent() {
 /// three-valued AND/OR/NOT conditions, and conditionally-reached VG calls
 /// (`Normal`/`Poisson`/`Triangular` — always with valid, non-NULL
 /// arguments, since distribution parameters reject NULL by contract).
+/// With `columns` set, leaves may also read those aliases.
 struct ExprGen {
     rng: Xoshiro256StarStar,
     vg_budget: u32,
     vg_emitted: u32,
+    columns: Vec<String>,
 }
 
 impl ExprGen {
@@ -433,6 +458,10 @@ impl ExprGen {
 
     fn numeric(&mut self, depth: u32) -> String {
         if depth == 0 || self.roll(100) < 25 {
+            if !self.columns.is_empty() && self.roll(3) == 0 {
+                let pick = self.roll(self.columns.len() as u64) as usize;
+                return self.columns[pick].clone();
+            }
             return match self.roll(6) {
                 0 => format!("{}", self.roll(2001) as i64 - 1000),
                 1 => format!("{}.5", self.roll(40)),
@@ -499,6 +528,7 @@ fn random_expressions_are_bit_identical_across_tiers() {
             rng: Xoshiro256StarStar::seed_from_u64(rng.next_u64()),
             vg_budget: 4,
             vg_emitted: 0,
+            columns: Vec::new(),
         };
         let n_cols = 1 + gen.roll(3);
         let items: Vec<String> = (0..n_cols)
@@ -549,9 +579,86 @@ fn random_expressions_are_bit_identical_across_tiers() {
             );
             assert_eq!(s.batched_calls, 0, "scalar walks never batch");
         }
+        assert_remap_matches_scalar(round, block_len, &params);
     }
     assert!(
         total_vg_calls > 20,
         "the generator must actually exercise VG calls (got {total_vg_calls})"
     );
+}
+
+/// A non-drawing RNG for the scalar remap oracle: derived items never
+/// consume randomness.
+struct NoDraws;
+
+impl Rng64 for NoDraws {
+    fn next_u64(&mut self) -> u64 {
+        panic!("a derived item drew randomness")
+    }
+}
+
+/// The remap input of the random-expression loop: a stochastic item `s`
+/// comes in bound with edge-value samples (NaN, ±∞, −0.0, ±1e308), and
+/// random deterministic items reading `s` and each other are re-derived by
+/// one block walk (`evaluate_derived_columns`) and, as the oracle, world by
+/// world with `s` bound as `Value::Float` (the engine's scalar remap).
+fn assert_remap_matches_scalar(round: u32, lanes: usize, params: &HashMap<String, Value>) {
+    const EDGES: [f64; 9] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        1e308,
+        -1e308,
+        0.0,
+        3.0,
+        -2.5,
+    ];
+    let mut gen = ExprGen {
+        rng: Xoshiro256StarStar::seed_from_u64(0x5EED_0000 + u64::from(round)),
+        vg_budget: 0,
+        vg_emitted: 0,
+        columns: vec!["s".into()],
+    };
+    let mut items = vec!["Normal(@a, 2.5) AS s".to_string()];
+    for i in 0..1 + gen.roll(3) {
+        items.push(format!("{} AS d{i}", gen.numeric(3)));
+        gen.columns.push(format!("d{i}"));
+    }
+    let src = format!(
+        "DECLARE PARAMETER @a AS SET (0);\nDECLARE PARAMETER @b AS SET (0);\n\
+         SELECT {} INTO out;",
+        items.join(", ")
+    );
+    let script = parse_script(&src).unwrap();
+    let samples: Vec<f64> = (0..lanes)
+        .map(|lane| match gen.roll(3) {
+            0 => gen.roll(2001) as f64 / 8.0 - 125.0,
+            _ => EDGES[lane % EDGES.len()],
+        })
+        .collect();
+    let bound = Column::F64 {
+        nulls: NullMask::none(lanes),
+        data: samples.clone(),
+    };
+    let (derived, _) =
+        evaluate_derived_columns(&script.select, params, vec![("s".into(), bound)], lanes).unwrap();
+    assert_eq!(derived.len(), script.select.items.len() - 1, "`{src}`");
+    let registry = full_registry();
+    for (lane, &x) in samples.iter().enumerate() {
+        let mut rng = NoDraws;
+        let mut ctx = EvalContext::new(&registry, params, &mut rng);
+        ctx.bind_alias("s", Value::Float(x));
+        for (item, (alias, column)) in script.select.items[1..].iter().zip(&derived) {
+            assert_eq!(&item.alias, alias);
+            let want = eval_expr(&item.expr, &mut ctx).unwrap();
+            let got = column.value_at(lane);
+            assert!(
+                bit_eq(&got, &want),
+                "round {round} `{src}` lane {lane} (s = {x:?}) column {alias}: \
+                 block {got:?} != scalar {want:?}"
+            );
+            ctx.bind_alias(alias, want);
+        }
+    }
 }
